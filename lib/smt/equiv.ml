@@ -190,44 +190,88 @@ type run_inputs = {
   buf_names : (int * string) list;  (** param-object oid -> display name *)
 }
 
-let input_expr ctx (forced : (string, Symexec.conc) Hashtbl.t) ~name ~kind ~dom =
-  match Hashtbl.find_opt forced name with
-  | Some (Symexec.CI v) -> Symexec.int_const ctx kind v
-  | Some (Symexec.CF v) -> Symexec.float_const ctx kind v
-  | None -> Symexec.var_expr ctx (Symexec.fresh_var ctx ~name ~kind ~dom)
+(* The spec elaborated once per {!check}: every buffer cell carries its
+   display name and its (shared, read-only) domain, so enumerating a
+   case allocates no domains and formats no names. *)
 
-(** Build both sides' initial states and the shared argument list.  The
-    two states hold *separate* cell arrays seeded with the *same*
+type input = {
+  iname : string;
+  idom : domain;
+  mutable slot : int;
+      (** position among the round's concretized inputs, or -1 while
+          the input stays symbolic *)
+}
+
+type source = Const of Symexec.conc | Input of input
+
+type elab =
+  | Escalar of Types.scalar * source
+  | Ecells of { bname : string; bkind : Types.scalar; lo : int; cells : source array }
+
+let elaborate ~width (spec : pspec list) : elab list =
+  let input iname idom = Input { iname; idom; slot = -1 } in
+  List.map
+    (function
+      | Kint (s, v) -> Escalar (s, Const (Symexec.CI v))
+      | Kfloat (s, v) -> Escalar (s, Const (Symexec.CF v))
+      | Sint { sname; skind; sdom } -> Escalar (skind, input sname (Symexec.Dint sdom))
+      | Sfloat { sname; skind; sdom } -> Escalar (skind, input sname (Symexec.Dfloat sdom))
+      | Buf { bname; bkind; lo; len; init } ->
+          let dom =
+            if Types.is_float_scalar bkind then Symexec.Dfloat float_palette
+            else Symexec.Dint (int_domain ~width bkind)
+          in
+          let cell e =
+            match init e with
+            | Ccint v -> Const (Symexec.CI v)
+            | Ccfloat v -> Const (Symexec.CF v)
+            | Csym -> input (Fmt.str "%s[%d]" bname e) dom
+          in
+          Ecells { bname; bkind; lo; cells = Array.init len (fun i -> cell (lo + i)) })
+    spec
+
+(** Start an enumeration round: point every input named in [conc] (the
+    round's concretized inputs, in odometer order) at its slot. *)
+let start_round (elab : elab list) (conc : (string * domain) array) =
+  let slots = Hashtbl.create 16 in
+  Array.iteri (fun k (name, _) -> Hashtbl.replace slots name k) conc;
+  let resolve = function
+    | Input i -> i.slot <- Option.value ~default:(-1) (Hashtbl.find_opt slots i.iname)
+    | Const _ -> ()
+  in
+  List.iter
+    (function Escalar (_, src) -> resolve src | Ecells { cells; _ } -> Array.iter resolve cells)
+    elab
+
+(** Build both sides' initial states and the shared argument list for
+    one case, [vals] holding the concretized inputs' values.  The two
+    states hold *separate* cell arrays seeded with the *same*
     expressions, and objects are created in the same order, so base
     addresses and untouched cells coincide structurally. *)
-let build_inputs ~width (spec : pspec list) (forced : (string, Symexec.conc) Hashtbl.t) :
-    run_inputs =
+let build_inputs (elab : elab list) (vals : Symexec.conc array) : run_inputs =
   let ctx = Symexec.create_ctx () in
   let st_ref = { Symexec.objs = [] } and st_vec = { Symexec.objs = [] } in
   let buf_names = ref [] in
+  let const kind = function
+    | Symexec.CI v -> Symexec.int_const ctx kind v
+    | Symexec.CF v -> Symexec.float_const ctx kind v
+  in
+  let expr kind = function
+    | Const c -> const kind c
+    | Input { slot; _ } when slot >= 0 -> const kind vals.(slot)
+    | Input { iname; idom; _ } ->
+        Symexec.var_expr ctx (Symexec.fresh_var ctx ~name:iname ~kind ~dom:idom)
+  in
   let args =
     List.map
       (function
-        | Kint (s, v) -> Symexec.S (Symexec.int_const ctx s v)
-        | Kfloat (s, v) -> Symexec.S (Symexec.float_const ctx s v)
-        | Sint { sname; skind; sdom } ->
-            Symexec.S (input_expr ctx forced ~name:sname ~kind:skind ~dom:(Symexec.Dint sdom))
-        | Sfloat { sname; skind; sdom } ->
-            Symexec.S (input_expr ctx forced ~name:sname ~kind:skind ~dom:(Symexec.Dfloat sdom))
-        | Buf { bname; bkind; lo; len; init } ->
-            let cell e =
-              match init e with
-              | Ccint v -> Symexec.int_const ctx bkind v
-              | Ccfloat v -> Symexec.float_const ctx bkind v
-              | Csym ->
-                  let name = Fmt.str "%s[%d]" bname e in
-                  let dom =
-                    if Types.is_float_scalar bkind then Symexec.Dfloat float_palette
-                    else Symexec.Dint (int_domain ~width bkind)
-                  in
-                  input_expr ctx forced ~name ~kind:bkind ~dom
-            in
-            let cells = Array.init len (fun i -> cell (lo + i)) in
+        | Escalar (kind, src) -> Symexec.S (expr kind src)
+        | Ecells { bname; bkind; lo; cells = srcs } ->
+            (* filled in place: [Array.map] would seed an array this
+               large with a young expression, which forces a minor
+               collection *)
+            let cells = Array.make (Array.length srcs) Symexec.no_node in
+            Array.iteri (fun i src -> cells.(i) <- expr bkind src) srcs;
             let oref =
               Symexec.add_obj st_ref ~name:bname ~kind:bkind ~cells ~lo ~private_:false
             in
@@ -237,7 +281,7 @@ let build_inputs ~width (spec : pspec list) (forced : (string, Symexec.conc) Has
             in
             buf_names := (oref.Symexec.oid, bname) :: !buf_names;
             Symexec.S (Symexec.int_const ctx Types.I64 (Symexec.obj_base oref.Symexec.oid)))
-      spec
+      elab
   in
   { ctx; args; st_ref; st_vec; buf_names = !buf_names }
 
@@ -270,8 +314,8 @@ let run_side ~opts ~lookup (st : Symexec.state) (ctx : Symexec.ctx) (f : Func.t)
 type conc_set = { mutable names : (string * domain) list (* newest last *) }
 
 let witness_of forced extra =
-  let all = Hashtbl.fold (fun n v acc -> (n, v) :: acc) forced extra in
-  List.sort compare (List.map (fun (n, v) -> (n, Fmt.str "%a" Symexec.pp_conc v)) all)
+  List.sort compare
+    (List.map (fun (n, v) -> (n, Fmt.str "%a" Symexec.pp_conc v)) (forced @ extra))
 
 exception Refute of counterexample
 exception Bound of string
@@ -282,7 +326,7 @@ exception Restart
     canonicalization second, exhaustive enumeration of the residual
     support last.  Raises {!Refute} with a full lane-level diff under a
     single witness assignment if any location can disagree. *)
-let compare_outputs ~opts (inp : run_inputs) (forced : (string, Symexec.conc) Hashtbl.t)
+let compare_outputs ~opts (inp : run_inputs) (forced : (string * Symexec.conc) list)
     (ret_ref : Symexec.sval) (ret_vec : Symexec.sval) (residual_cases : int ref) : unit =
   let ctx = inp.ctx in
   let pairs = ref [] in
@@ -402,8 +446,10 @@ let check ?(opts = default_opts) ?(width = 8) ~lookup_ref ~lookup_vec ~(fref : F
     if fresh = [] then raise (Bound "evaluator demanded concretization of an already-concrete input")
     else conc.names <- conc.names @ fresh
   in
-  let run_case forced =
-    let inp = build_inputs ~width spec forced in
+  let elab = elaborate ~width spec in
+  let run_case doms vals =
+    let inp = build_inputs elab vals in
+    let forced = Array.to_list (Array.map2 (fun (name, _) v -> (name, v)) doms vals) in
     match run_side ~opts ~lookup:lookup_ref inp.st_ref inp.ctx fref inp.args with
     | RNeed needed ->
         add_needed needed;
@@ -447,15 +493,12 @@ let check ?(opts = default_opts) ?(width = 8) ~lookup_ref ~lookup_vec ~(fref : F
         (Bound
            (Fmt.str "%d concretized inputs span %d cases (budget %d)" (Array.length doms)
               product opts.max_cases));
+    start_round elab doms;
     try
       let idx = Array.make (Array.length doms) 0 in
       let continue = ref true in
       while !continue do
-        let forced = Hashtbl.create 16 in
-        Array.iteri
-          (fun k (name, dom) -> Hashtbl.replace forced name (nth_conc dom idx.(k)))
-          doms;
-        run_case forced;
+        run_case doms (Array.mapi (fun k (_, dom) -> nth_conc dom idx.(k)) doms);
         let rec bump k =
           if k < 0 then continue := false
           else begin

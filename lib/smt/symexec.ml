@@ -99,35 +99,47 @@ end
 module Ktbl = Hashtbl.Make (Key)
 
 type ctx = {
-  mutable vars : var list;  (** newest first *)
+  mutable vars : var array;  (** vid -> variable, the first [nvars] live *)
   mutable nvars : int;
-  vtbl : (int, var) Hashtbl.t;
   tbl : sexpr Ktbl.t;
   mutable next_eid : int;
   mutable nodes : sexpr array;  (** eid -> expr, for memoized traversals *)
   canon : (int, sexpr) Hashtbl.t;  (** AC-canonicalization cache *)
 }
 
+(* Fillers for unused array slots.  They are long-lived, so a large
+   array made with them does not force a minor collection the way a
+   freshly allocated filler would. *)
+let no_var = { vid = -1; vname = ""; vkind = Types.I1; vdom = Dint [||] }
+let no_node = { eid = -1; kind = Types.I1; node = NInt 0L; support = Iset.empty }
+
+(* Initial sizes stay within the minor heap's 256-word limit: most
+   contexts hold a few hundred nodes, and a table allocated directly in
+   the major heap has every expression stored into it promoted by the
+   next minor collection. *)
 let create_ctx () =
   {
-    vars = [];
+    vars = Array.make 64 no_var;
     nvars = 0;
-    vtbl = Hashtbl.create 64;
-    tbl = Ktbl.create 1024;
+    tbl = Ktbl.create 256;
     next_eid = 0;
-    nodes = Array.make 1024 { eid = -1; kind = Types.I1; node = NInt 0L; support = Iset.empty };
+    nodes = Array.make 256 no_node;
     canon = Hashtbl.create 256;
   }
 
 let fresh_var ctx ~name ~kind ~dom =
   let v = { vid = ctx.nvars; vname = name; vkind = kind; vdom = dom } in
+  if v.vid >= Array.length ctx.vars then begin
+    let bigger = Array.make (2 * Array.length ctx.vars) no_var in
+    Array.blit ctx.vars 0 bigger 0 v.vid;
+    ctx.vars <- bigger
+  end;
+  ctx.vars.(v.vid) <- v;
   ctx.nvars <- ctx.nvars + 1;
-  ctx.vars <- v :: ctx.vars;
-  Hashtbl.replace ctx.vtbl v.vid v;
   v
 
-let var_of ctx vid = Hashtbl.find ctx.vtbl vid
-let all_vars ctx = List.rev ctx.vars
+let var_of ctx vid = ctx.vars.(vid)
+let all_vars ctx = List.init ctx.nvars (var_of ctx)
 let expr_of ctx eid = ctx.nodes.(eid)
 
 let intern ctx kind node support =
@@ -137,7 +149,7 @@ let intern ctx kind node support =
       let e = { eid = ctx.next_eid; kind; node; support } in
       ctx.next_eid <- ctx.next_eid + 1;
       if e.eid >= Array.length ctx.nodes then begin
-        let bigger = Array.make (2 * Array.length ctx.nodes) e in
+        let bigger = Array.make (2 * Array.length ctx.nodes) no_node in
         Array.blit ctx.nodes 0 bigger 0 (Array.length ctx.nodes);
         ctx.nodes <- bigger
       end;

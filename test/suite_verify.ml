@@ -142,6 +142,32 @@ let test_oob_refuted () =
   let cx = check_injected "inject_oob" Pfuzz.Gen.inject_oob ~seed:1 in
   checkb "oob counterexample reports the fault" true (cx.cx_fault <> None)
 
+(* -- pinned wide-window retry: a 3x3 stencil's row-stride taps leave
+   the default window, so every case is vacuous until Tv retries at the
+   wide extent / slack -- *)
+
+let test_stencil_wide_retry () =
+  let k = Option.get (Psimdlib.Registry.find "gaussian_blur_3x3") in
+  let results, remarks =
+    Pobs.Remarks.collect Pobs.Remarks.Full (fun () ->
+        Parsimony.Tv.verify_module ~params:Parsimony.Tv.default_params
+          (compile k.psim_src))
+  in
+  let verdict f =
+    match List.find_opt (fun (r : Parsimony.Tv.result) -> r.vfunc = f) results with
+    | Some r -> Fmt.str "%a" Psmt.Equiv.pp_verdict r.verdict
+    | None -> Alcotest.failf "no verdict for %s" f
+  in
+  check Alcotest.string "main gang" "Proved (75 cases, 181 vacuous)"
+    (verdict "gaussian_blur_3x3__psim1");
+  check Alcotest.string "tail gang" "Proved (306 cases, 718 vacuous)"
+    (verdict "gaussian_blur_3x3__psim1_tail");
+  checkb "retry remark emitted" true
+    (List.exists
+       (fun (r : Pobs.Remarks.t) ->
+         r.pass = "verify" && Astring_contains.contains r.msg "retrying at 16 / 160")
+       remarks)
+
 let suites =
   [
     ( "verify-kernel",
@@ -156,5 +182,7 @@ let suites =
         Alcotest.test_case "injected race refuted" `Quick test_race_refuted;
         Alcotest.test_case "injected oob refuted as a fault" `Quick
           test_oob_refuted;
+        Alcotest.test_case "stencil proves through the wide-window retry" `Quick
+          test_stencil_wide_retry;
       ] );
   ]
