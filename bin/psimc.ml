@@ -31,27 +31,14 @@
 open Cmdliner
 
 (* resolve FILE: a path on disk, or the name of a built-in kernel from
-   the Figure-5 (Simd Library) or Figure-4 (ispc) registries.  Under the
-   SLP strategies a kernel name resolves to its *serial* source — SLP
-   packs standard scalar code (including its restrict qualifiers), the
-   psim-annotated variant is Parsimony's input *)
+   the Figure-5 (Simd Library) or Figure-4 (ispc) registries, in the
+   source variant the strategy compiles ([Runner.kernel_source]) *)
 let load_source ?(opts = Parsimony.Options.default) path =
   if Sys.file_exists path then
     (Filename.basename path, Pharness.Pipeline.read_file path)
   else
-    match
-      List.find_opt
-        (fun (k : Psimdlib.Workload.kernel) -> k.kname = path)
-        (Psimdlib.Registry.all @ Pispc.Suite.all)
-    with
-    | Some k ->
-        let src =
-          match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony -> k.psim_src
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              k.serial_src
-        in
-        (k.kname, src)
+    match Pharness.Runner.find_kernel path with
+    | Some k -> (k.kname, Pharness.Runner.kernel_source k (Some opts))
     | None ->
         Fmt.epr "psimc: %s: no such file or built-in kernel@." path;
         exit 1
@@ -200,8 +187,7 @@ let strategy =
           | None ->
               Error
                 (`Msg
-                   (Fmt.str "unknown strategy %S (parsimony, slp or slp-greedy)"
-                      s))),
+                   (Fmt.str "unknown strategy %S (parsimony, slp or autovec)" s))),
         fun ppf st -> Fmt.string ppf (Parsimony.Options.strategy_name st) )
   in
   Arg.(
@@ -209,10 +195,11 @@ let strategy =
     & opt strategy_conv Parsimony.Options.Parsimony
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
-          "Compilation strategy: $(b,parsimony) (SPMD gang widening, the \
-           default), $(b,slp) (superword-level-parallelism packing of \
-           straight-line statement groups, globally-optimized pairing) or \
-           $(b,slp-greedy) (SLP with the classic greedy bottom-up packer)")
+          "Compilation strategy: $(b,parsimony) (SPMD gang widening of the \
+           psim source, the default), $(b,slp) (superword-level-parallelism \
+           packing of straight-line statement groups in the serial source, \
+           globally-optimized pairing) or $(b,autovec) (loop \
+           auto-vectorization of the serial source)")
 
 let opts_term =
   let mk math_lib no_shapes boscc analyze strategy =
@@ -229,13 +216,18 @@ let opts_term =
 
 (* -- subcommands -- *)
 
+(* the pass's per-function reports, where it prints them *)
+let print_reports = function
+  | Parsimony.Driver.Parsimony reports ->
+      List.iter (fun r -> Fmt.pr "%a@." Parsimony.Vectorizer.pp_report r) reports
+  | Parsimony.Driver.Autovec reports ->
+      List.iter (fun r -> Fmt.pr "%a@." Pautovec.Autovec.pp_report r) reports
+  | Parsimony.Driver.Slp _ | Parsimony.Driver.Unvectorized -> ()
+
 let build_cmd =
   let run obs opts file =
     with_obs obs (fun () ->
-        let _, reports = compile_source obs opts file in
-        List.iter
-          (fun r -> Fmt.pr "%a@." Parsimony.Vectorizer.pp_report r)
-          reports;
+        print_reports (snd (compile_source obs opts file));
         Fmt.pr "ok@.")
   in
   Cmd.v (Cmd.info "build" ~doc:"Type-check and vectorize; print pass statistics")
@@ -295,22 +287,8 @@ let shapes_cmd =
 let report_cmd =
   let run obs opts file =
     with_obs obs (fun () ->
-        let mname, cards =
-          match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony ->
-              let m, reports = compile_source obs opts file in
-              (m.Pir.Func.mname, Parsimony.Scorecard.of_module ~reports m)
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              (* the pipeline discards SLP reports (its report type is the
-                 vectorizer's); run the stages directly to keep them *)
-              let name, src = load_source ~opts file in
-              let m = Pfrontend.Lower.compile ~name src in
-              Panalysis.Check.check_module m;
-              let reports = Parsimony.Slp.run_module ~opts m in
-              Panalysis.Check.check_module m;
-              Parsimony.Simplify.run_module m;
-              (m.Pir.Func.mname, Parsimony.Scorecard.of_module_slp ~reports m)
-        in
+        let m, outcome = compile_source obs opts file in
+        let cards = Parsimony.Scorecard.of_outcome outcome m in
         if cards = [] then begin
           Fmt.epr "psimc report: no SPMD function was vectorized@.";
           exit 1
@@ -321,7 +299,9 @@ let report_cmd =
         | _ ->
             Fmt.pr "@.";
             Fmt.pr "%a" Parsimony.Scorecard.pp
-              (Parsimony.Scorecard.aggregate ~name:(mname ^ " (total)") cards))
+              (Parsimony.Scorecard.aggregate
+                 ~name:(m.Pir.Func.mname ^ " (total)")
+                 cards))
   in
   Cmd.v
     (Cmd.info "report"
@@ -334,10 +314,14 @@ let report_cmd =
 let autovec_cmd =
   let run obs file =
     with_obs obs (fun () ->
-        let name, src = load_source file in
-        let m = Pfrontend.Lower.compile ~name src in
-        let reports = Pautovec.Autovec.run_module m in
-        List.iter (fun r -> Fmt.pr "%a@." Pautovec.Autovec.pp_report r) reports)
+        print_reports
+          (snd
+             (compile_source obs
+                {
+                  Parsimony.Options.default with
+                  strategy = Parsimony.Options.Autovec;
+                }
+                file)))
   in
   Cmd.v
     (Cmd.info "autovec" ~doc:"Run the loop auto-vectorizer baseline; report per-loop outcomes")
@@ -731,24 +715,6 @@ let verify_kernel_cmd =
             fuel;
           }
         in
-        let transform m =
-          (* the candidate is whatever the selected strategy produces *)
-          (match opts.Parsimony.Options.strategy with
-          | Parsimony.Options.Parsimony ->
-              ignore (Parsimony.Vectorizer.run_module ~opts m)
-          | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-              ignore (Parsimony.Slp.run_module ~opts m));
-          Panalysis.Check.check_module m;
-          Parsimony.Simplify.run_module m;
-          (match legalize with
-          | None -> ()
-          | Some lanes ->
-              m.Pir.Func.funcs <-
-                List.map
-                  (fun f -> Pbackend.Legalize.legalize_func ~lanes f)
-                  m.Pir.Func.funcs);
-          Panalysis.Check.check_module m
-        in
         let refuted = ref 0 and bounded = ref 0 and proved = ref 0 in
         let docs =
           List.map
@@ -759,13 +725,7 @@ let verify_kernel_cmd =
                   ~cfg:(cfg_of_obs ~vectorize:false ~simplify:false obs opts)
                   ~name src
               in
-              let serial =
-                match opts.Parsimony.Options.strategy with
-                | Parsimony.Options.Parsimony -> false
-                | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-                    true
-              in
-              let results = Parsimony.Tv.verify_module ~params ~serial ~transform m in
+              let results = Parsimony.Tv.verify_module ~params ~opts ?legalize m in
               List.iter
                 (fun (r : Parsimony.Tv.result) ->
                   (match r.verdict with

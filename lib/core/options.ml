@@ -4,32 +4,37 @@
     the ablation study in the benchmark harness (DESIGN.md): each
     corresponds to a design choice §4.2 calls out. *)
 
-(** Which vectorization pass drives the pipeline.
+(** Which pass vectorizes.
 
-    [Parsimony] is the paper's SPMD vectorizer (the default).  The two
-    SLP modes run superword-level-parallelism packing over straight-line
-    regions instead (ROADMAP item 3, after goSLP): [SlpGreedy] commits
-    profitable packs bottom-up in discovery order; [SlpOptimal] scores
-    every candidate pack set with the cost model and picks the cheapest
-    via bounded exhaustive search over conflict groups (standing in for
-    goSLP's ILP solver). *)
-type strategy = Parsimony | SlpGreedy | SlpOptimal
+    [Parsimony] is the paper's SPMD vectorizer (the default) and
+    compiles the psim source.  The other two transform standard serial
+    code: [SlpOptimal] runs superword-level-parallelism packing over
+    straight-line regions (after goSLP: every candidate pack set is
+    scored with the cost model and the cheapest picked by bounded
+    exhaustive search over conflict groups, standing in for goSLP's ILP
+    solver), and [Autovec] is the classic loop auto-vectorizer the
+    paper compares against. *)
+type strategy = Parsimony | SlpOptimal | Autovec
 
 let strategy_name = function
   | Parsimony -> "parsimony"
-  | SlpGreedy -> "slp-greedy"
   | SlpOptimal -> "slp"
+  | Autovec -> "autovec"
 
 let strategy_of_string = function
   | "parsimony" -> Some Parsimony
-  | "slp-greedy" -> Some SlpGreedy
-  | "slp" | "slp-opt" -> Some SlpOptimal
+  | "slp" -> Some SlpOptimal
+  | "autovec" -> Some Autovec
   | _ -> None
+
+(** Whether the strategy compiles serial code rather than psim code:
+    the source a built-in kernel is compiled from, and what translation
+    validation checks the result against. *)
+let serial = function Parsimony -> false | SlpOptimal | Autovec -> true
 
 type t = {
   strategy : strategy;
-      (** which pass vectorizes: the Parsimony SPMD vectorizer, or the
-          SLP packer in greedy / globally-optimized pairing mode. *)
+      (** which pass vectorizes (see {!strategy}) *)
   math_lib : string;
       (** vector math library the pass targets: ["sleef"] (Parsimony
           prototype) or ["ispc"] (ispc's built-in SIMD math library).

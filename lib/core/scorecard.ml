@@ -10,12 +10,11 @@
     - the final vector IR (ground truth for instruction totals and mask
       density, after simplify has run).
 
-    The [psimc report] subcommand prints these; the benchmark harness
-    folds them into [--json] and the regression observatory stores a
-    per-kernel summary in each history record.  The report-derived
-    fields reconcile with the optimization-remark stream by construction
-    (both are written at the same classification sites), which the test
-    suite pins. *)
+    The [psimc report] subcommand and the serve daemon's [report] verb
+    print these; the benchmark harness folds them into [--json].  The
+    report-derived fields reconcile with the optimization-remark stream
+    by construction (both are written at the same classification
+    sites), which the test suite pins. *)
 
 open Pir
 
@@ -136,24 +135,25 @@ let of_slp ~(report : Slp.report) (f : Func.t) : t =
     slp_rejects = report.Slp.rejected_cost + report.Slp.rejected_dep;
   }
 
-(** Scorecards for every function of [m] under the SLP strategy, in
-    report order. *)
-let of_module_slp ~(reports : Slp.report list) (m : Func.modul) : t list =
-  List.filter_map
-    (fun (r : Slp.report) ->
-      List.find_opt (fun (f : Func.t) -> f.Func.fname = r.Slp.func) m.funcs
-      |> Option.map (of_slp ~report:r))
-    reports
-
-(** Scorecards for every function of [m] that has a vectorizer report,
-    in report order.  Functions the pass never touched (host loops,
-    scalar helpers) carry no scorecard. *)
-let of_module ~(reports : Vectorizer.report list) (m : Func.modul) : t list =
-  List.filter_map
-    (fun (r : Vectorizer.report) ->
-      List.find_opt (fun (f : Func.t) -> f.Func.fname = r.func) m.funcs
-      |> Option.map (of_func ~report:r))
-    reports
+(** Scorecards for the functions the strategy pass reported on, in
+    report order, measured on the module the driver left: one per
+    vectorized SPMD function under Parsimony (host loops and scalar
+    helpers carry none), one per function under SLP, none when autovec
+    or no pass ran. *)
+let of_outcome (outcome : Driver.outcome) (m : Func.modul) : t list =
+  let cards of_report func reports =
+    List.filter_map
+      (fun r ->
+        List.find_opt (fun (f : Func.t) -> f.Func.fname = func r) m.funcs
+        |> Option.map (of_report r))
+      reports
+  in
+  match outcome with
+  | Driver.Parsimony reports ->
+      cards (fun report -> of_func ~report) (fun r -> r.Vectorizer.func) reports
+  | Driver.Slp reports ->
+      cards (fun report -> of_slp ~report) (fun r -> r.Slp.func) reports
+  | Driver.Autovec _ | Driver.Unvectorized -> []
 
 (** Element-wise sum over [cards] (per-kernel rollup for the history
     store); ratios are recomputed from the summed numerators. *)
@@ -236,18 +236,4 @@ let to_json (c : t) : Pobs.Json.t =
       ("slp_packs", Pobs.Json.Int c.slp_packs);
       ("slp_packed_instrs", Pobs.Json.Int c.slp_packed_instrs);
       ("slp_rejects", Pobs.Json.Int c.slp_rejects);
-    ]
-
-(** Compact per-kernel summary for the history store: enough to see a
-    coverage regression in a diff without bloating every JSONL line. *)
-let summary_json (c : t) : Pobs.Json.t =
-  Pobs.Json.Obj
-    [
-      ("pct_vectorized", Pobs.Json.Float c.pct_vectorized);
-      ("packed_mem", Pobs.Json.Int c.packed_mem);
-      ("shuffle_mem", Pobs.Json.Int c.shuffle_mem);
-      ("gather_mem", Pobs.Json.Int c.gather_mem);
-      ("scatter_mem", Pobs.Json.Int c.scatter_mem);
-      ("serialized_calls", Pobs.Json.Int c.serialized_calls);
-      ("mask_density", Pobs.Json.Float c.mask_density);
     ]

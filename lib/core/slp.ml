@@ -20,19 +20,16 @@
     each pack into a super-node of the block dependence graph and
     rejecting any pack set whose contraction creates a cycle.
 
-    Two pairing modes ({!Options.strategy}):
+    Pairing is goSLP-style and global: every candidate pack window
+    (plus its grown use-def chain) is scored with the machine cost
+    model's reciprocal throughputs, and the best pairwise-compatible
+    subset is picked by bounded exhaustive search over the conflict
+    groups, standing in for goSLP's ILP solver.  The classic greedy
+    choices (widest maximal packs first) are always in the candidate
+    set, so the search is never worse than greedy pairing under the
+    cost model.
 
-    - [SlpGreedy] — classic bottom-up SLP: commit each profitable
-      maximal pack in discovery order;
-    - [SlpOptimal] — goSLP-style global pairing: every candidate pack
-      window (plus its grown use-def chain) is scored with the machine
-      cost model's reciprocal throughputs, and the best pairwise-
-      compatible subset is picked by bounded exhaustive search over the
-      conflict groups, standing in for goSLP's ILP solver.  The greedy
-      choices are always in the candidate set, so the optimized mode is
-      never worse under the cost model.
-
-    Both modes finish with a schedule gate: the packed block is
+    Selection finishes with a schedule gate: the packed block is
     re-scored under the machine's actual block schedule
     ([max(Σ rthr, critical path)], {!Pmachine.Cost.block_base}) and
     bundles are dropped, weakest first, until packing is not a
@@ -49,18 +46,8 @@
 
 open Pir
 
-type mode = Greedy | Optimal
-
-let mode_of_options (o : Options.t) =
-  match o.Options.strategy with
-  | Options.SlpGreedy -> Greedy
-  | Options.Parsimony | Options.SlpOptimal -> Optimal
-
-let mode_name = function Greedy -> "greedy" | Optimal -> "optimal"
-
 type report = {
   func : string;
-  rmode : mode;
   mutable packs : int;  (** vector packs committed *)
   mutable packed_instrs : int;  (** scalar instructions replaced by packs *)
   mutable packed_loads : int;  (** committed packs that are [VLoad]s *)
@@ -71,10 +58,9 @@ type report = {
   mutable est_saving : float;  (** cost-model rthr cycles saved per iteration *)
 }
 
-let fresh_report ~mode fname =
+let fresh_report fname =
   {
     func = fname;
-    rmode = mode;
     packs = 0;
     packed_instrs = 0;
     packed_loads = 0;
@@ -303,15 +289,16 @@ let adjacent_run ctx (arr : Instr.instr array) (members : int array) =
     done;
     !ok
 
-(* can [members] (positions, lane order) form a pack? *)
-let try_pack ctx (arr : Instr.instr array) (taken : (int, unit) Hashtbl.t)
+(* can [members] (positions, lane order) form a pack?  None of them
+   may be in [claimed] already. *)
+let try_pack ctx (arr : Instr.instr array) (claimed : (int, unit) Hashtbl.t)
     (members : int array) : pack option =
   let k = Array.length members in
   let distinct =
     let seen = Hashtbl.create k in
     Array.for_all
       (fun p ->
-        if Hashtbl.mem seen p || Hashtbl.mem taken p then false
+        if Hashtbl.mem seen p || Hashtbl.mem claimed p then false
         else (
           Hashtbl.replace seen p ();
           true))
@@ -374,19 +361,12 @@ let all_equal_ops (col : Instr.operand array) =
 let all_const (col : Instr.operand array) =
   Array.for_all (function Instr.Const _ -> true | Instr.Var _ -> false) col
 
-let grow_bundle ctx (arr : Instr.instr array) pos_of
-    (taken : (int, unit) Hashtbl.t) (seed : pack) : bundle =
+let grow_bundle ctx (arr : Instr.instr array) pos_of (seed : pack) : bundle =
   let stmts = Hashtbl.create 16 in
   let packs = ref [] in
   let claim p = Array.iter (fun pos -> Hashtbl.replace stmts pos ()) p.members in
   let in_bundle pos = Hashtbl.mem stmts pos in
-  let taken_or_bundle = Hashtbl.create 16 in
-  let try_pack' members =
-    Hashtbl.reset taken_or_bundle;
-    Hashtbl.iter (fun k () -> Hashtbl.replace taken_or_bundle k ()) taken;
-    Hashtbl.iter (fun k () -> Hashtbl.replace taken_or_bundle k ()) stmts;
-    try_pack ctx arr taken_or_bundle members
-  in
+  let try_pack' members = try_pack ctx arr stmts members in
   (* positions in this block using def [d], with the operand position *)
   let local_users =
     lazy
@@ -705,7 +685,7 @@ let greedy_chunks (run : int array) =
   done;
   List.rev !out
 
-(* candidate windows for the global mode: every contiguous window of the
+(* candidate windows: every contiguous window of the
    interesting widths, plus the greedy chunks so the exhaustive search
    space always contains the greedy solution *)
 let candidate_windows (run : int array) =
@@ -760,8 +740,8 @@ let select_group ~budget (cands : bundle array) =
   in
   go 0 [] 0.0;
   if !capped then begin
-    (* first-fit greedy in program order, the same rule the greedy mode
-       uses, so the fallback is never worse than greedy *)
+    (* first-fit greedy in program order, so the fallback is never
+       worse than greedy pairing *)
     let order = Array.init n Fun.id in
     Array.sort
       (fun a b -> compare (bundle_first cands.(a)) (bundle_first cands.(b)))
@@ -974,7 +954,7 @@ let pack_desc (arr : Instr.instr array) (p : pack) =
       in
       Fmt.str "%d x %s" k (String.lowercase_ascii kind)
 
-let run_block ctx ~mode (rep : report) (b : Func.block) =
+let run_block ctx (rep : report) (b : Func.block) =
   let arr = Array.of_list b.Func.instrs in
   let n = Array.length arr in
   if n >= 2 then begin
@@ -985,22 +965,13 @@ let run_block ctx ~mode (rep : report) (b : Func.block) =
     let rmissed fmt =
       Pobs.Remarks.(emit Missed ~pass:"slp" ~func:ctx.f.Func.fname) fmt
     in
-    let taken = Hashtbl.create 16 in
-    (* candidate bundles: greedy chunks only in greedy mode; every
-       window in optimal mode *)
-    let runs = seed_runs ctx arr in
-    let windows =
-      List.concat_map
-        (match mode with
-        | Greedy -> greedy_chunks
-        | Optimal -> candidate_windows)
-        runs
-    in
+    let unclaimed = Hashtbl.create 1 in
+    let windows = List.concat_map candidate_windows (seed_runs ctx arr) in
     let mk_bundle win =
-      match try_pack ctx arr taken win with
+      match try_pack ctx arr unclaimed win with
       | None -> None
       | Some seed ->
-          let bdl = grow_bundle ctx arr pos_of taken seed in
+          let bdl = grow_bundle ctx arr pos_of seed in
           (* legality of the bundle on its own *)
           let group = Array.init n Fun.id in
           List.iteri
@@ -1024,56 +995,42 @@ let run_block ctx ~mode (rep : report) (b : Func.block) =
           end
     in
     let chosen =
-      match mode with
-      | Greedy ->
-          (* first-fit in program order; [taken] blocks overlapping
-             later candidates *)
-          List.filter_map
-            (fun win ->
-              match mk_bundle win with
-              | None -> None
-              | Some bdl ->
-                  Hashtbl.iter (fun k () -> Hashtbl.replace taken k ()) bdl.stmts;
-                  Some bdl)
-            windows
-      | Optimal ->
-          let cands = List.filter_map mk_bundle windows in
-          (* conflict groups: connected components of the overlap graph *)
-          let cands = Array.of_list cands in
-          let nc = Array.length cands in
-          let comp = Array.init nc Fun.id in
-          let rec find i = if comp.(i) = i then i else find comp.(i) in
-          for i = 0 to nc - 1 do
-            for j = i + 1 to nc - 1 do
-              if overlaps cands.(i) cands.(j) then
-                comp.(find i) <- find j
-            done
-          done;
-          let groups = Hashtbl.create 8 in
-          for i = 0 to nc - 1 do
-            let r = find i in
-            Hashtbl.replace groups r
-              (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
-          done;
-          let roots =
-            Hashtbl.fold (fun r _ acc -> r :: acc) groups [] |> List.sort compare
+      (* conflict groups: connected components of the overlap graph *)
+      let cands = Array.of_list (List.filter_map mk_bundle windows) in
+      let nc = Array.length cands in
+      let comp = Array.init nc Fun.id in
+      let rec find i = if comp.(i) = i then i else find comp.(i) in
+      for i = 0 to nc - 1 do
+        for j = i + 1 to nc - 1 do
+          if overlaps cands.(i) cands.(j) then
+            comp.(find i) <- find j
+        done
+      done;
+      let groups = Hashtbl.create 8 in
+      for i = 0 to nc - 1 do
+        let r = find i in
+        Hashtbl.replace groups r
+          (i :: Option.value ~default:[] (Hashtbl.find_opt groups r))
+      done;
+      let roots =
+        Hashtbl.fold (fun r _ acc -> r :: acc) groups [] |> List.sort compare
+      in
+      List.concat_map
+        (fun r ->
+          let idxs =
+            Array.of_list (List.rev (Hashtbl.find groups r))
           in
-          List.concat_map
-            (fun r ->
-              let idxs =
-                Array.of_list (List.rev (Hashtbl.find groups r))
-              in
-              let sub = Array.map (fun i -> cands.(i)) idxs in
-              let picked, capped = select_group ~budget:search_budget sub in
-              if capped then begin
-                rep.search_capped <- rep.search_capped + 1;
-                rmissed
-                  "conflict group of %d candidates exceeded the search \
-                   budget; using greedy selection"
-                  (Array.length sub)
-              end;
-              List.map (fun i -> sub.(i)) picked)
-            roots
+          let sub = Array.map (fun i -> cands.(i)) idxs in
+          let picked, capped = select_group ~budget:search_budget sub in
+          if capped then begin
+            rep.search_capped <- rep.search_capped + 1;
+            rmissed
+              "conflict group of %d candidates exceeded the search \
+               budget; using greedy selection"
+              (Array.length sub)
+          end;
+          List.map (fun i -> sub.(i)) picked)
+        roots
     in
     (* combined legality: contraction over every chosen pack at once;
        drop the cheapest bundles until acyclic *)
@@ -1193,9 +1150,8 @@ let run_block ctx ~mode (rep : report) (b : Func.block) =
     end
   end
 
-let run_func ?(opts = Options.default) (f : Func.t) : report =
-  let mode = mode_of_options opts in
-  let rep = fresh_report ~mode f.Func.fname in
+let run_func (f : Func.t) : report =
+  let rep = fresh_report f.Func.fname in
   let dv = Pdataflow.Divergence.analyze f in
   let ctx =
     {
@@ -1207,13 +1163,13 @@ let run_func ?(opts = Options.default) (f : Func.t) : report =
     }
   in
   build_uses ctx;
-  List.iter (run_block ctx ~mode rep) f.Func.blocks;
+  List.iter (run_block ctx rep) f.Func.blocks;
   rep
 
 (* -- module driver, metrics -- *)
 
 let m_packs =
-  Pobs.Metrics.counter "slp.packs" ~help:"SLP packs committed, by kind and mode"
+  Pobs.Metrics.counter "slp.packs" ~help:"SLP packs committed, by kind"
 
 let m_instrs =
   Pobs.Metrics.counter "slp.packed_instrs"
@@ -1225,18 +1181,13 @@ let m_rejected =
 
 let publish_report (r : report) =
   if Pobs.Metrics.enabled () then begin
-    let mode = mode_name r.rmode in
+    Pobs.Metrics.add ~labels:[ ("kind", "load") ] m_packs r.packed_loads;
+    Pobs.Metrics.add ~labels:[ ("kind", "store") ] m_packs r.packed_stores;
     Pobs.Metrics.add
-      ~labels:[ ("mode", mode); ("kind", "load") ]
-      m_packs r.packed_loads;
-    Pobs.Metrics.add
-      ~labels:[ ("mode", mode); ("kind", "store") ]
-      m_packs r.packed_stores;
-    Pobs.Metrics.add
-      ~labels:[ ("mode", mode); ("kind", "pure") ]
+      ~labels:[ ("kind", "pure") ]
       m_packs
       (r.packs - r.packed_loads - r.packed_stores);
-    Pobs.Metrics.add ~labels:[ ("mode", mode) ] m_instrs r.packed_instrs;
+    Pobs.Metrics.add m_instrs r.packed_instrs;
     Pobs.Metrics.add
       ~labels:[ ("reason", "cost") ]
       m_rejected r.rejected_cost;
@@ -1245,15 +1196,18 @@ let publish_report (r : report) =
 
 (** Pack every function of [m] (serial bodies and SPMD regions alike —
     the pass transforms one thread of control, so an SPMD function's
-    per-thread semantics are preserved and its [spmd] marker stays). *)
-let run_module ?opts (m : Func.modul) : report list =
+    per-thread semantics are preserved and its [spmd] marker stays).
+    The packer has no options of its own: [opts] is ignored, and stays
+    only so existing callers still compile (the benchmark's compile
+    workload passes it). *)
+let run_module ?opts:(_ : Options.t option) (m : Func.modul) : report list =
   List.map
     (fun f ->
       Pobs.Trace.with_span ~cat:"pass"
         ~args:[ ("func", f.Func.fname) ]
         "slp"
         (fun () ->
-          let rep = run_func ?opts f in
+          let rep = run_func f in
           publish_report rep;
           rep))
     m.Func.funcs

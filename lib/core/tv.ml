@@ -93,14 +93,6 @@ let override_gang ~params (m : Func.modul) =
       | _ -> ())
     m.Func.funcs
 
-(** Default transformation under validation: the standard pipeline's
-    vectorize + SSA check + simplify stages. *)
-let default_transform (m : Func.modul) =
-  ignore (Vectorizer.run_module m);
-  Panalysis.Check.check_module m;
-  Simplify.run_module m;
-  Panalysis.Check.check_module m
-
 let emit_remark (r : result) =
   match r.verdict with
   | Psmt.Equiv.Proved { cases; vacuous } ->
@@ -122,24 +114,17 @@ let tally (r : result) =
   | Psmt.Equiv.Bounded _ -> Pobs.Metrics.incr m_bounded);
   Pobs.Metrics.observe m_cases (float_of_int (Psmt.Equiv.verdict_cases r.verdict))
 
-(** Verify every SPMD function of [m].  [transform] is applied to a
-    fresh copy of the (gang-overridden) module and defaults to the
-    standard vectorize+simplify pipeline; pass the legalizing closure
-    to validate the backend too.  [m] itself is never mutated.
-
-    [serial] flips the claim for strategies that transform serial code
-    (the SLP packer): every *non*-SPMD function is verified against the
-    candidate under {!Psmt.Equiv.serial_spec} — same symbolic buffer
-    windows, scalar parameters bounded to small element counts, no
-    gang. *)
-let verify_module ?(params = default_params) ?(serial = false)
-    ?(transform = default_transform) (m : Func.modul) : result list =
-  let ref_m = Func.copy_module m in
-  override_gang ~params ref_m;
-  let vec_m = Func.copy_module ref_m in
-  transform vec_m;
-  let lookup_ref name = Func.find_func_opt ref_m name in
-  let lookup_vec name = Func.find_func_opt vec_m name in
+(** Check every function of [candidate] the claim covers against its
+    namesake in [reference].  With [serial = false] the claim covers
+    the SPMD functions, each checked per gang invocation under
+    {!Psmt.Equiv.spmd_spec}.  With [serial = true] — strategies that
+    transform serial code — it covers every *non*-SPMD function under
+    {!Psmt.Equiv.serial_spec}: the same symbolic buffer windows, scalar
+    parameters bounded to small element counts, no gang. *)
+let verify_pair ?(params = default_params) ~serial ~(reference : Func.modul)
+    (candidate : Func.modul) : result list =
+  let lookup_ref name = Func.find_func_opt reference name in
+  let lookup_vec name = Func.find_func_opt candidate name in
   let opts =
     {
       Psmt.Equiv.max_cases = params.max_cases;
@@ -152,7 +137,7 @@ let verify_module ?(params = default_params) ?(serial = false)
       match (fref.Func.spmd, serial) with
       | None, false | Some _, true -> None
       | spmd, _ ->
-          let fvec = Func.find_func vec_m fref.Func.fname in
+          let fvec = Func.find_func candidate fref.Func.fname in
           let spec =
             if serial then
               Psmt.Equiv.serial_spec ~extent:params.extent ~slack:params.slack
@@ -203,4 +188,18 @@ let verify_module ?(params = default_params) ?(serial = false)
           emit_remark r;
           tally r;
           Some r)
-    ref_m.Func.funcs
+    reference.Func.funcs
+
+(** Verify [m] against what the compile driver builds from it under
+    [opts] (default: the Parsimony vectorizer), legalized to [legalize]
+    lanes when given.  Gang sizes are first overridden per [params]; the
+    claim is serial exactly when the strategy compiles serial code (see
+    {!verify_pair}).  [m] itself is never mutated. *)
+let verify_module ?(params = default_params) ?(opts = Options.default) ?legalize
+    (m : Func.modul) : result list =
+  let reference = Func.copy_module m in
+  override_gang ~params reference;
+  let candidate = Func.copy_module reference in
+  ignore (Driver.run ?legalize (Some opts) candidate);
+  verify_pair ~params ~serial:(Options.serial opts.Options.strategy) ~reference
+    candidate

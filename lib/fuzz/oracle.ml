@@ -67,16 +67,16 @@ let parse_header (src : string) : subject option =
 
 type config =
   | Vec of string * Parsimony.Options.t  (** Parsimony vectorizer ablations *)
-  | Slp of string * Parsimony.Options.t
-      (** SLP packing of straight-line statement groups (both pairing
-          modes); SPMD functions stay per-thread, only intra-thread
-          isomorphic groups vectorize *)
+  | Slp
+      (** SLP packing of straight-line statement groups; SPMD functions
+          stay per-thread, only intra-thread isomorphic groups
+          vectorize *)
   | Autovec  (** classic loop auto-vectorization *)
   | Legalized of int  (** vectorize (default), then split to N-lane registers *)
 
 let config_name = function
   | Vec (label, _) -> "vec-" ^ label
-  | Slp (label, _) -> "slp-" ^ label
+  | Slp -> "slp-opt"
   | Autovec -> "autovec"
   | Legalized lanes -> Fmt.str "legalize-%d" lanes
 
@@ -92,17 +92,10 @@ let vec_configs =
     Vec ("feedback", { d with analysis_feedback = true });
   ]
 
-let slp_configs =
-  let d = Parsimony.Options.default in
-  [
-    Slp ("greedy", { d with strategy = Parsimony.Options.SlpGreedy });
-    Slp ("opt", { d with strategy = Parsimony.Options.SlpOptimal });
-  ]
-
 let legalize_widths = [ 4; 8; 16 ]
 
 let all_configs =
-  vec_configs @ slp_configs @ [ Autovec ]
+  vec_configs @ [ Slp; Autovec ]
   @ List.map (fun w -> Legalized w) legalize_widths
 
 (** Inverse of {!config_name}, for re-triaging a persisted bucket. *)
@@ -115,42 +108,29 @@ exception Skip of string
 
 (** Compile the subject to scalar SPMD IR (the reference module). *)
 let compile_scalar (s : subject) : Func.modul =
-  let m = Pfrontend.Lower.compile ~name:"fuzz" s.src in
-  Panalysis.Check.check_module m;
-  m
+  Parsimony.Driver.lower ~name:"fuzz" s.src
 
-(** Fresh copy of [scalar] with the pass pipeline for [config] applied.
+(** Fresh copy of [scalar] built by the compile driver for [config].
     [mutate] injects a seeded vectorizer bug (see {!Mutate}) into the
-    [vec-default] configuration only, so the failure signature of a
-    caught mutation is deterministic. *)
+    [vec-default] configuration only, between the pass and its check,
+    so the failure signature of a caught mutation is deterministic. *)
 let prepare ?mutate config (scalar : Func.modul) : Func.modul =
   let m = Func.copy_module scalar in
-  (match config with
-  | Vec (label, opts) ->
-      ignore (Parsimony.Vectorizer.run_module ~opts m);
-      (match mutate with
-      | Some mut when label = "default" -> ignore (Mutate.apply mut m)
-      | _ -> ());
-      Panalysis.Check.check_module m;
-      Parsimony.Simplify.run_module m
-  | Slp (_, opts) ->
-      ignore (Parsimony.Slp.run_module ~opts m);
-      Panalysis.Check.check_module m;
-      Parsimony.Simplify.run_module m
-  | Autovec ->
-      ignore (Pautovec.Autovec.run_module m);
-      Panalysis.Check.check_module m
-  | Legalized lanes ->
-      ignore (Parsimony.Vectorizer.run_module m);
-      Panalysis.Check.check_module m;
-      Parsimony.Simplify.run_module m;
-      m.Func.funcs <-
-        List.map
-          (fun f ->
-            try Pbackend.Legalize.legalize_func ~lanes f
-            with Pbackend.Legalize.Unsupported reason -> raise (Skip reason))
-          m.Func.funcs;
-      Panalysis.Check.check_module m);
+  let d = Parsimony.Options.default in
+  let opts, legalize =
+    match config with
+    | Vec (_, opts) -> (opts, None)
+    | Slp -> ({ d with strategy = Parsimony.Options.SlpOptimal }, None)
+    | Autovec -> ({ d with strategy = Parsimony.Options.Autovec }, None)
+    | Legalized lanes -> (d, Some lanes)
+  in
+  let after_pass =
+    match (mutate, config) with
+    | Some mut, Vec ("default", _) -> Some (fun m -> ignore (Mutate.apply mut m))
+    | _ -> None
+  in
+  (try ignore (Parsimony.Driver.run ?after_pass ?legalize (Some opts) m)
+   with Pbackend.Legalize.Unsupported reason -> raise (Skip reason));
   m
 
 (* -- execution -- *)
@@ -255,18 +235,9 @@ let compare_buffers (expected : buffers) (got : buffers) : string option =
       | None -> cmp "c" expected.c got.c)
 
 (** psan findings over the scalar lowering plus a fresh (unmutated)
-    vectorization — mirrors [psimc lint]. *)
+    vectorization — what [psimc lint] reports. *)
 let psan_findings (scalar : Func.modul) : Psan.finding list =
-  let scalar_findings = Psan.run_module scalar in
-  let m = Func.copy_module scalar in
-  let vector_findings =
-    match Parsimony.Vectorizer.run_module m with
-    | exception Parsimony.Vectorizer.Unvectorizable _ -> []
-    | _ ->
-        Parsimony.Simplify.run_module m;
-        Psan.run_module m
-  in
-  Psan.sort_findings (scalar_findings @ vector_findings)
+  Parsimony.Driver.lint (Func.copy_module scalar)
 
 (* -- the oracle -- *)
 
@@ -457,7 +428,7 @@ let run_oracles ?mutate (s : subject) : verdict =
                             | Some detail ->
                                 let bucket =
                                   match config with
-                                  | Slp _ -> Triage.slp ~config:name
+                                  | Slp -> Triage.slp ~config:name
                                   | _ -> Triage.diff ~config:name
                                 in
                                 Fail { bucket; config = name; detail }

@@ -122,16 +122,13 @@ let figure4 ?pool ?engine ?kernels () : row list =
 (* -- Figure 5: Simd Library suite, normalized to LLVM scalar -- *)
 
 let figure5_raw ?pool ?engine ?(kernels = Registry.all) () : raw list =
-  let slp_opts =
-    { Parsimony.Options.default with strategy = Parsimony.Options.SlpOptimal }
-  in
   let jobs =
     List.concat_map
       (fun (k : Workload.kernel) ->
         [
           (k, Some Runner.Scalar);
           (k, Some Runner.Autovec);
-          (k, Some (Runner.SlpImpl slp_opts));
+          (k, Some (Runner.SlpImpl Parsimony.Options.default));
           (k, Some (Runner.ParsimonyImpl Parsimony.Options.default));
           (k, if k.hand <> None then Some Runner.Hand else None);
         ])
@@ -293,15 +290,15 @@ let ablations ?pool ?engine () : row list =
         }
     | [] -> assert false)
 
-(* -- compile time: the pass (including online precondition checks) -- *)
+(* -- compile time: the driver (including online precondition checks) -- *)
 
 let compile_time_stats () =
   let t0 = Unix.gettimeofday () in
   let count = ref 0 in
   List.iter
     (fun (k : Workload.kernel) ->
-      let m = Pfrontend.Lower.compile ~name:k.kname k.psim_src in
-      ignore (Parsimony.Vectorizer.run_module m);
+      let m = Parsimony.Driver.lower ~name:k.kname k.psim_src in
+      ignore (Parsimony.Driver.run (Some Parsimony.Options.default) m);
       incr count)
     Registry.all;
   let dt = Unix.gettimeofday () -. t0 in

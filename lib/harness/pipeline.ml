@@ -1,19 +1,18 @@
-(** The standard compilation pipeline, shared by [psimc] and the
-    harness: frontend → SSA check → Parsimony vectorizer → SSA check →
-    simplify → (optionally) legalize.
-
-    Centralizes the file-reading and module-building boilerplate that
-    used to be duplicated between [bin/psimc.ml] and this library, and
-    adds the observability hooks: every stage already runs under a
-    [Pobs.Trace] span inside its own library, the whole pipeline runs
-    under a "pipeline" span here, and [dump_ir] writes an IR snapshot
-    after each stage ([--print-after-all] style) as
-    [NN-<module>-<stage>.pir] in the given directory. *)
+(** The compilation pipeline of [psimc] and the serve daemon: the
+    compile driver ({!Parsimony.Driver}) run on a source string, with
+    observability on top.  Every stage already runs under a
+    [Pobs.Trace] span inside its own library; the whole pipeline runs
+    under a "pipeline" span here, [stage_hook] times each stage, and
+    [dump_ir] writes an IR snapshot after each transforming stage
+    ([--print-after-all] style) as [NN-<module>-<stage>.pir] in the
+    given directory. *)
 
 type config = {
-  vectorize : bool;
+  vectorize : bool;  (** run the strategy pass [opts] names *)
   simplify : bool;
-  legalize : bool;
+      (** [false] stops after the frontend check and returns the raw
+          lowering, for the analyses that want it (no strategy pass
+          either) *)
   opts : Parsimony.Options.t;
   dump_ir : string option;  (** directory for per-stage IR snapshots *)
   stage_hook : (string -> int -> unit) option;
@@ -26,7 +25,6 @@ let default =
   {
     vectorize = true;
     simplify = true;
-    legalize = false;
     opts = Parsimony.Options.default;
     dump_ir = None;
     stage_hook = None;
@@ -66,89 +64,32 @@ let dump_after cfg (m : Pir.Func.modul) stage =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (Pir.Printer.module_to_string m))
 
-(* [Trace.now_us] doubles as the stage clock: monotonic and usable even
-   when tracing is disabled *)
-let stage cfg name f =
-  match cfg.stage_hook with
-  | None -> f ()
-  | Some hook ->
-      let t0 = Pobs.Trace.now_us () in
-      let r = f () in
-      hook name (Pobs.Trace.now_us () - t0);
-      r
+(* checks leave the IR as it was, so only the other stages dump *)
+let hook cfg name us m =
+  Option.iter (fun h -> h name us) cfg.stage_hook;
+  if name <> "check" && name <> "recheck" then dump_after cfg m name
 
-(** Compile [src] through the configured pipeline.  Returns the final
-    module and the vectorizer's per-function reports (empty when
-    [vectorize] is off). *)
+(** Compile [src] through the driver.  Returns the final module and the
+    strategy pass's outcome. *)
 let compile ?(cfg = default) ~name src :
-    Pir.Func.modul * Parsimony.Vectorizer.report list =
+    Pir.Func.modul * Parsimony.Driver.outcome =
   Pobs.Trace.with_span ~cat:"pipeline" ~args:[ ("module", name) ] "pipeline"
     (fun () ->
-      let m = stage cfg "frontend" (fun () -> Pfrontend.Lower.compile ~name src) in
-      dump_after cfg m "frontend";
-      stage cfg "check" (fun () -> Panalysis.Check.check_module m);
-      let reports =
-        if cfg.vectorize then begin
-          (* the strategy option picks the vectorizing pass: the
-             Parsimony SPMD widener, or SLP packing over straight-line
-             regions (SPMD functions keep their gang marker and stay
-             per-thread; only intra-thread statement groups pack) *)
-          let reports =
-            match cfg.opts.Parsimony.Options.strategy with
-            | Parsimony.Options.Parsimony ->
-                stage cfg "vectorize" (fun () ->
-                    Parsimony.Vectorizer.run_module ~opts:cfg.opts m)
-            | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-                stage cfg "vectorize" (fun () ->
-                    ignore (Parsimony.Slp.run_module ~opts:cfg.opts m);
-                    [])
-          in
-          dump_after cfg m "vectorize";
-          stage cfg "recheck" (fun () -> Panalysis.Check.check_module m);
-          reports
-        end
-        else []
-      in
-      if cfg.simplify then begin
-        stage cfg "simplify" (fun () -> Parsimony.Simplify.run_module m);
-        dump_after cfg m "simplify"
-      end;
-      if cfg.legalize then begin
-        stage cfg "legalize" (fun () -> Pbackend.Legalize.legalize_module m);
-        dump_after cfg m "legalize"
-      end;
-      (m, reports))
+      let hook = hook cfg in
+      let m = Parsimony.Driver.lower ~hook ~name src in
+      if not cfg.simplify then (m, Parsimony.Driver.Unvectorized)
+      else
+        ( m,
+          Parsimony.Driver.run ~hook
+            (if cfg.vectorize then Some cfg.opts else None)
+            m ))
 
-(** [compile] on a source file; the module is named after the file. *)
-let compile_file ?cfg path =
-  compile ?cfg ~name:(Filename.basename path) (read_file path)
-
-(** Run the SPMD sanitizer (psan) over [src]: the scalar lowering gets
-    the dataflow checks (cross-lane races, out-of-bounds accesses,
-    uninitialized reads, dead stores), then the vectorized module gets
-    the vector-access lint (static out-of-bounds packed/gather
-    accesses).  Findings come back deduplicated in deterministic
-    (function, block, instruction) order; also emitted as "psan"
-    analysis remarks when a remark mode is active. *)
-let lint ?(opts = Parsimony.Options.default) ~name src : Psan.finding list =
+(** Run the SPMD sanitizer (psan) over [src] ({!Parsimony.Driver.lint});
+    findings are also emitted as "psan" analysis remarks when a remark
+    mode is active. *)
+let lint ?opts ~name src : Psan.finding list =
   Pobs.Trace.with_span ~cat:"pipeline" ~args:[ ("module", name) ] "lint"
     (fun () ->
-      let m = Pfrontend.Lower.compile ~name src in
-      Panalysis.Check.check_module m;
-      let scalar = Psan.run_module m in
-      let vectored =
-        (* vectorization can legitimately fail on lint-only sources;
-           the scalar findings stand on their own *)
-        match Parsimony.Vectorizer.run_module ~opts m with
-        | exception Parsimony.Vectorizer.Unvectorizable _ -> []
-        | _ ->
-            Parsimony.Simplify.run_module m;
-            Psan.run_module m
-      in
-      let findings = Psan.sort_findings (scalar @ vectored) in
+      let findings = Parsimony.Driver.lint ?opts (Parsimony.Driver.lower ~name src) in
       Psan.emit_remarks findings;
       findings)
-
-(** [lint] on a source file. *)
-let lint_file ?opts path =
-  lint ?opts ~name:(Filename.basename path) (read_file path)

@@ -1,22 +1,20 @@
-(** Executes a benchmark kernel under one of the four compilation
-    strategies of the paper's evaluation and collects simulated cycles
-    and outputs. *)
+(** Executes a benchmark kernel under one of the compilation strategies
+    of the paper's evaluation and collects simulated cycles and
+    outputs. *)
 
 open Psimdlib
 
 type impl =
   | Scalar  (** serial source, vectorization disabled *)
   | Autovec  (** serial source through the loop auto-vectorizer *)
-  | SlpImpl of Parsimony.Options.t
-      (** serial source through the SLP packer (globally-optimized
-          pairing unless the options say greedy) *)
+  | SlpImpl of Parsimony.Options.t  (** serial source through the SLP packer *)
   | ParsimonyImpl of Parsimony.Options.t  (** psim source through the pass *)
   | Hand  (** hand-written vector IR (intrinsics stand-in) *)
 
 let impl_name = function
   | Scalar -> "scalar"
   | Autovec -> "autovec"
-  | SlpImpl o -> Parsimony.Options.strategy_name o.Parsimony.Options.strategy
+  | SlpImpl _ -> "slp"
   | ParsimonyImpl o ->
       if o.Parsimony.Options.math_lib = "ispc" then "ispc" else "parsimony"
   | Hand -> "hand"
@@ -32,21 +30,44 @@ type result = {
 
 exception Unavailable of string
 
+(** The driver options an implementation compiles under ([None]: no
+    strategy pass). *)
+let options = function
+  | Scalar | Hand -> None
+  | Autovec ->
+      Some { Parsimony.Options.default with strategy = Parsimony.Options.Autovec }
+  | SlpImpl o -> Some { o with strategy = Parsimony.Options.SlpOptimal }
+  | ParsimonyImpl o -> Some { o with strategy = Parsimony.Options.Parsimony }
+
+(** The source a built-in kernel is compiled from under [opts]: the psim
+    variant for the Parsimony vectorizer, the standard serial code for
+    the strategies that transform serial code and for no pass at all. *)
+let kernel_source (k : Workload.kernel) (opts : Parsimony.Options.t option) =
+  match opts with
+  | Some o when not (Parsimony.Options.serial o.Parsimony.Options.strategy) ->
+      k.psim_src
+  | _ -> k.serial_src
+
+(** The Figure-5 (Simd Library) or Figure-4 (ispc) kernel called [name]. *)
+let find_kernel name =
+  List.find_opt
+    (fun (k : Workload.kernel) -> k.kname = name)
+    (Registry.all @ Pispc.Suite.all)
+
 (** Compile-once cache for frontend lowering.
 
-    Every strategy starts from [Pfrontend.Lower.compile] of either the
-    serial or the psim source, and the figure sweep revisits the same
-    kernel under several strategies (and several option sets), so the
-    identical lowering used to be redone up to four times per kernel.
-    The cache memoizes the *pristine* lowering per (kernel, source) and
+    Every strategy starts from [Driver.lower] of either the serial or
+    the psim source, and the figure sweep revisits the same kernel under
+    several strategies (and several option sets), so the identical
+    lowering used to be redone up to four times per kernel.  The cache
+    memoizes the *pristine*, checked lowering per (kernel, source) and
     hands out a [Pir.Func.copy_module] deep copy, because every
-    downstream pass (autovec, vectorizer, simplify) mutates the module
-    in place.  Backed by the bounded [Lru] store (workers probe
-    concurrently; a concurrent miss may compile twice and the last
-    stored entry wins — both are deterministic, so either is correct).
-    The capacity comfortably covers the whole benchmark suite's working
-    set, so eviction only matters to long-lived daemon processes fed
-    arbitrary sources. *)
+    downstream pass mutates the module in place.  Backed by the bounded
+    [Lru] store (workers probe concurrently; a concurrent miss may
+    compile twice and the last stored entry wins — both are
+    deterministic, so either is correct).  The capacity comfortably
+    covers the whole benchmark suite's working set, so eviction only
+    matters to long-lived daemon processes fed arbitrary sources. *)
 module Compile_cache = struct
   let store : (string * string, Pir.Func.modul) Lru.t =
     Lru.create ~capacity:512 ()
@@ -56,7 +77,7 @@ module Compile_cache = struct
     match Lru.find store key with
     | Some m -> Pir.Func.copy_module m
     | None ->
-        let m = Pfrontend.Lower.compile ~name src in
+        let m = Parsimony.Driver.lower ~name src in
         Lru.add store key m;
         Pir.Func.copy_module m
 
@@ -68,22 +89,13 @@ module Compile_cache = struct
   let clear () = Lru.clear store
 end
 
-let build_module (k : Workload.kernel) (impl : impl) : Pir.Func.modul =
+(** [k] built as [impl] by the compile driver, with the pass's
+    outcome. *)
+let build (k : Workload.kernel) (impl : impl) :
+    Pir.Func.modul * Parsimony.Driver.outcome =
+  let opts = options impl in
   let m =
     match impl with
-    | Scalar -> Compile_cache.compile ~name:k.kname k.serial_src
-    | Autovec ->
-        let m = Compile_cache.compile ~name:k.kname k.serial_src in
-        ignore (Pautovec.Autovec.run_module m);
-        m
-    | SlpImpl opts ->
-        let m = Compile_cache.compile ~name:k.kname k.serial_src in
-        ignore (Parsimony.Slp.run_module ~opts m);
-        m
-    | ParsimonyImpl opts ->
-        let m = Compile_cache.compile ~name:k.kname k.psim_src in
-        ignore (Parsimony.Vectorizer.run_module ~opts m);
-        m
     | Hand -> (
         match k.hand with
         | Some build ->
@@ -92,38 +104,29 @@ let build_module (k : Workload.kernel) (impl : impl) : Pir.Func.modul =
             m
         | None ->
             raise (Unavailable (k.kname ^ ": no hand-written implementation")))
+    | _ -> Compile_cache.compile ~name:k.kname (kernel_source k opts)
   in
-  (* the standard late pipeline (CSE + DCE) runs for every strategy,
-     like the -O3 passes downstream of the paper's vectorizer *)
-  Parsimony.Simplify.run_module m;
-  m
+  (m, Parsimony.Driver.run opts m)
 
-(** Auto-vectorization outcome for a kernel (which loops vectorized). *)
-let autovec_report (k : Workload.kernel) =
-  let m = Compile_cache.compile ~name:k.kname k.serial_src in
-  Pautovec.Autovec.run_module m
+let build_module k impl = fst (build k impl)
 
 (** Vectorization coverage scorecard for [k]'s Parsimony build, rolled
-    up across its SPMD functions (main gang + tail).  Runs the same
-    compile → vectorize → simplify pipeline as [build_module], so the
-    final-IR totals describe the module the simulator executes.  [None]
-    when no SPMD function was vectorized. *)
+    up across its SPMD functions (main gang + tail), measured on the
+    module the simulator executes.  [None] when no SPMD function was
+    vectorized. *)
 let scorecard ?(opts = Parsimony.Options.default) (k : Workload.kernel) :
     Parsimony.Scorecard.t option =
-  let m = Compile_cache.compile ~name:k.kname k.psim_src in
-  let reports = Parsimony.Vectorizer.run_module ~opts m in
-  Parsimony.Simplify.run_module m;
-  match Parsimony.Scorecard.of_module ~reports m with
+  let m, outcome = build k (ParsimonyImpl opts) in
+  match Parsimony.Scorecard.of_outcome outcome m with
   | [] -> None
   | cards -> Some (Parsimony.Scorecard.aggregate ~name:k.kname cards)
 
-(* The VM is the default engine for bench/fuzz throughput; pass
-   [~engine:Pmachine.Engine.Interp] for the tree-walking oracle (the
-   two produce bit-identical outputs, cycles and stats). *)
-let run ?(check = false) ?(engine = Pmachine.Engine.Vm) ?(profile = false)
-    (k : Workload.kernel) (impl : impl) : result =
-  let m = build_module k impl in
-  if check then Panalysis.Check.check_module m;
+(** Run [k]'s entry point in [m], a build of [k] as [impl].  The VM is
+    the default engine for bench/fuzz throughput; pass
+    [~engine:Pmachine.Engine.Interp] for the tree-walking oracle (the
+    two produce bit-identical outputs, cycles and stats). *)
+let run_module ?(engine = Pmachine.Engine.Vm) ?(profile = false)
+    (k : Workload.kernel) (impl : impl) (m : Pir.Func.modul) : result =
   let t = Pmachine.Engine.create ~kind:engine ~profile m in
   let mem = Pmachine.Engine.mem t in
   let addrs =
@@ -154,6 +157,9 @@ let run ?(check = false) ?(engine = Pmachine.Engine.Vm) ?(profile = false)
   let profile = if profile then Some (Pmachine.Engine.profile t) else None in
   { impl; cycles = stats.cycles; outputs; stats; profile }
 
+let run ?engine ?profile (k : Workload.kernel) (impl : impl) : result =
+  run_module ?engine ?profile k impl (build_module k impl)
+
 let close_enough tol (a : Pmachine.Value.t) (b : Pmachine.Value.t) =
   if tol = 0.0 then Pmachine.Value.equal a b
   else
@@ -170,17 +176,13 @@ let verify (k : Workload.kernel) : unit =
     [
       Scalar;
       Autovec;
-      SlpImpl
-        {
-          Parsimony.Options.default with
-          strategy = Parsimony.Options.SlpOptimal;
-        };
+      SlpImpl Parsimony.Options.default;
       ParsimonyImpl Parsimony.Options.default;
       ParsimonyImpl Parsimony.Options.ispc;
     ]
     @ (if k.hand <> None then [ Hand ] else [])
   in
-  let results = List.map (fun i -> run ~check:true k i) impls in
+  let results = List.map (run k) impls in
   let reference = List.hd results in
   List.iter
     (fun r ->
@@ -197,11 +199,6 @@ let verify (k : Workload.kernel) : unit =
             expected)
         reference.outputs r.outputs)
     (List.tl results)
-
-(** Speedups of each implementation relative to [Scalar]. *)
-let speedups (k : Workload.kernel) ~impls : (string * float) list =
-  let base = (run k Scalar).cycles in
-  List.map (fun i -> (impl_name i, base /. (run k i).cycles)) impls
 
 let geomean xs =
   match xs with

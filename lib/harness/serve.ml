@@ -97,10 +97,6 @@ let m_protocol_errors =
 let m_connections =
   Pobs.Metrics.counter "serve.connections" ~help:"connections accepted"
 
-let g_active_conns =
-  Pobs.Metrics.gauge "serve.active_connections"
-    ~help:"connections open at scrape time"
-
 let g_inflight =
   Pobs.Metrics.gauge "serve.inflight"
     ~help:"requests dispatched but not yet answered, at scrape time"
@@ -123,17 +119,16 @@ let g_queue_depth =
 (* -- content-addressed cache keys -- *)
 
 module Cache = struct
+  (* the cost table is immutable, so its fingerprint is computed once
+     rather than per request *)
+  let default_model_id = Pmachine.Cost.model_id Pmachine.Cost.default
+
   (** Key for a request's deterministic result: a digest over every
       input that can change the answer.  [model_id] defaults to the
       active cost model's fingerprint, so editing the cost table (which
       changes cycle counts in exec/profile results) changes every key;
       the parameter exists so tests can pin the sensitivity. *)
-  let key ?model_id ~verb ~name ~source ~opts ~extra () =
-    let model_id =
-      match model_id with
-      | Some m -> m
-      | None -> Pmachine.Cost.model_id Pmachine.Cost.default
-    in
+  let key ?(model_id = default_model_id) ~verb ~name ~source ~opts ~extra () =
     Digest.to_hex
       (Digest.string
          (String.concat "\x00"
@@ -194,21 +189,6 @@ let opts_of_json j =
         Parsimony.Options.default kvs
   | Some _ -> bad "options: expected an object"
 
-(* The SLP strategies compile the kernel's *serial* source (standard
-   scalar code, no SPMD annotations), same as [psimc]'s resolution. *)
-let builtin_source (opts : Parsimony.Options.t) name =
-  match
-    List.find_opt
-      (fun (k : Psimdlib.Workload.kernel) -> k.kname = name)
-      (Psimdlib.Registry.all @ Pispc.Suite.all)
-  with
-  | Some k -> (
-      match opts.Parsimony.Options.strategy with
-      | Parsimony.Options.Parsimony -> k.psim_src
-      | Parsimony.Options.SlpGreedy | Parsimony.Options.SlpOptimal ->
-          k.serial_src)
-  | None -> bad "no such built-in kernel %S" name
-
 let needs_source = function
   | "compile" | "lint" | "report" | "exec" | "profile" -> true
   | _ -> false
@@ -230,7 +210,10 @@ let parse_request j : request =
     match (get_str j "source", kernel) with
     | Some s, Some _ -> ignore s; bad "pass \"source\" or \"kernel\", not both"
     | Some s, None -> s
-    | None, Some k -> builtin_source r_opts k
+    | None, Some k -> (
+        match Runner.find_kernel k with
+        | Some k -> Runner.kernel_source k (Some r_opts)
+        | None -> bad "no such built-in kernel %S" k)
     | None, None ->
         if needs_source r_verb then bad "%s: missing \"source\" or \"kernel\"" r_verb
         else ""
@@ -261,19 +244,38 @@ let hook_of stages name us =
 let pipeline_cfg ~opts ~stage_hook =
   { Pipeline.default with opts; stage_hook = Some stage_hook }
 
+(* functions the pass vectorized, the instructions it vectorized (SLP:
+   replaced by packs) and the SPMD instructions it kept scalar, from the
+   pass's own reports; autovec reports loops, not instructions *)
+let pass_counts (outcome : Parsimony.Driver.outcome) =
+  let sum f l = List.fold_left (fun a r -> a + f r) 0 l in
+  let count p l = List.length (List.filter p l) in
+  match outcome with
+  | Parsimony.Driver.Parsimony reps ->
+      ( List.length reps,
+        sum (fun (r : Parsimony.Vectorizer.report) -> r.vectorized) reps,
+        sum (fun (r : Parsimony.Vectorizer.report) -> r.scalar_kept) reps )
+  | Parsimony.Driver.Slp reps ->
+      ( count (fun (r : Parsimony.Slp.report) -> r.packs > 0) reps,
+        sum (fun (r : Parsimony.Slp.report) -> r.packed_instrs) reps,
+        0 )
+  | Parsimony.Driver.Autovec reps ->
+      (count (fun r -> Pautovec.Autovec.vectorized_loops r <> []) reps, 0, 0)
+  | Parsimony.Driver.Unvectorized -> (0, 0, 0)
+
 let handle_compile ~stage_hook (r : request) : Pobs.Json.t =
-  let m, reports =
+  let m, outcome =
     Pipeline.compile ~cfg:(pipeline_cfg ~opts:r.r_opts ~stage_hook) ~name:r.r_name
       r.r_source
   in
-  let sum f = List.fold_left (fun a (rep : Parsimony.Vectorizer.report) -> a + f rep) 0 reports in
+  let funcs, instrs, kept = pass_counts outcome in
   Pobs.Json.Obj
     [
       ("module", Pobs.Json.Str m.Pir.Func.mname);
       ("funcs", Pobs.Json.Int (List.length m.Pir.Func.funcs));
-      ("vectorized_funcs", Pobs.Json.Int (List.length reports));
-      ("vectorized_instrs", Pobs.Json.Int (sum (fun rep -> rep.vectorized)));
-      ("scalar_kept", Pobs.Json.Int (sum (fun rep -> rep.scalar_kept)));
+      ("vectorized_funcs", Pobs.Json.Int funcs);
+      ("vectorized_instrs", Pobs.Json.Int instrs);
+      ("scalar_kept", Pobs.Json.Int kept);
     ]
 
 let handle_lint (r : request) : Pobs.Json.t =
@@ -299,11 +301,11 @@ let handle_lint (r : request) : Pobs.Json.t =
     ]
 
 let handle_report ~stage_hook (r : request) : Pobs.Json.t =
-  let m, reports =
+  let m, outcome =
     Pipeline.compile ~cfg:(pipeline_cfg ~opts:r.r_opts ~stage_hook) ~name:r.r_name
       r.r_source
   in
-  let cards = Parsimony.Scorecard.of_module ~reports m in
+  let cards = Parsimony.Scorecard.of_outcome outcome m in
   Pobs.Json.Obj
     [ ("scorecards", Pobs.Json.Arr (List.map Parsimony.Scorecard.to_json cards)) ]
 

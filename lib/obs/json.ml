@@ -22,8 +22,7 @@ type t =
 
 (* -- emission -- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -35,14 +34,18 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
   Buffer.contents b
 
 (* shortest representation that still reparses as a Float: integral
    values keep a trailing ".0" so a round trip through [parse] preserves
    the Int/Float distinction *)
 let float_repr f =
-  let s = Fmt.str "%.17g" f in
+  let s = Printf.sprintf "%.17g" f in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
 
@@ -65,25 +68,42 @@ let rec pp ppf = function
 let to_string v = Fmt.str "%a" pp v
 
 (** Single-line emission, for JSONL stores where one value must occupy
-    exactly one line (the pretty-printer inserts line breaks). *)
-let rec pp_compact ppf = function
-  | Null -> Fmt.string ppf "null"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f ->
-      if Float.is_finite f then Fmt.string ppf (float_repr f)
-      else Fmt.string ppf "null"
-  | Str s -> Fmt.pf ppf "\"%s\"" (escape s)
-  | Arr xs ->
-      Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ",") pp_compact) xs
-  | Obj kvs ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(
-          list ~sep:(any ",") (fun ppf (k, v) ->
-              Fmt.pf ppf "\"%s\":%a" (escape k) pp_compact v))
-        kvs
-
-let to_string_compact v = Fmt.str "%a" pp_compact v
+    exactly one line (the pretty-printer inserts line breaks).  Written
+    straight into a buffer: the serve daemon emits one per response. *)
+let to_string_compact v =
+  let b = Buffer.create 256 in
+  let rec add = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Float f ->
+        Buffer.add_string b (if Float.is_finite f then float_repr f else "null")
+    | Str s ->
+        Buffer.add_char b '"';
+        add_escaped b s;
+        Buffer.add_char b '"'
+    | Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            add x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '"';
+            add_escaped b k;
+            Buffer.add_string b "\":";
+            add x)
+          kvs;
+        Buffer.add_char b '}'
+  in
+  add v;
+  Buffer.contents b
 
 let write file v =
   let oc = open_out file in
@@ -284,7 +304,7 @@ let parse_file file =
 
 (** Newline-delimited JSON frame decoder for the serve wire protocol.
 
-    A peer writes one compact JSON value per line ([pp_compact] never
+    A peer writes one compact JSON value per line ([to_string_compact] never
     emits a raw newline, so framing on ['\n'] is unambiguous).  The
     decoder is incremental: [feed] accepts arbitrary read-sized chunks —
     a frame split across ten reads and ten frames in one read both

@@ -564,9 +564,14 @@ let test_psan_registry_clean () =
 
 (* -- analysis feedback: reclassification -- *)
 
+let vectorizer_reports = function
+  | Parsimony.Driver.Parsimony reports -> reports
+  | _ -> Alcotest.fail "expected the Parsimony vectorizer's reports"
+
 let compile_kernel ?(opts = Parsimony.Options.default) (k : Psimdlib.Workload.kernel) =
   let cfg = { Pharness.Pipeline.default with opts } in
-  Pharness.Pipeline.compile ~cfg ~name:k.kname k.psim_src
+  let m, outcome = Pharness.Pipeline.compile ~cfg ~name:k.kname k.psim_src in
+  (m, vectorizer_reports outcome)
 
 let total_reclassified reports =
   List.fold_left
@@ -627,8 +632,8 @@ let test_feedback_differential () =
   let reclassified = ref 0 in
   List.iter
     (fun (k : Psimdlib.Workload.kernel) ->
-      let base = Pharness.Runner.run ~check:true k (Pharness.Runner.ParsimonyImpl Parsimony.Options.default) in
-      let fed = Pharness.Runner.run ~check:true k (Pharness.Runner.ParsimonyImpl feedback_opts) in
+      let base = Pharness.Runner.run k (Pharness.Runner.ParsimonyImpl Parsimony.Options.default) in
+      let fed = Pharness.Runner.run k (Pharness.Runner.ParsimonyImpl feedback_opts) in
       List.iter2
         (fun (name, expected) (name', got) ->
           Alcotest.(check string) "buffer name" name name';
@@ -668,7 +673,8 @@ void feedback(float32* inp, float32* out, int64 n) {
 
 let run_branchy opts =
   let cfg = { Pharness.Pipeline.default with opts } in
-  let m, reports = Pharness.Pipeline.compile ~cfg ~name:"fb" branchy_src in
+  let m, outcome = Pharness.Pipeline.compile ~cfg ~name:"fb" branchy_src in
+  let reports = vectorizer_reports outcome in
   let t = Pmachine.Interp.create m in
   let mem = t.Pmachine.Interp.mem in
   let n = 16 in

@@ -176,11 +176,11 @@ void pairsum(int32* src, int32* dst, int64 n) {
 |}
 
 let compile_with_remarks ~name src =
-  let (m, reports), remarks =
+  let (m, outcome), remarks =
     Pobs.Remarks.collect Pobs.Remarks.Full (fun () ->
         Pharness.Pipeline.compile ~name src)
   in
-  (Parsimony.Scorecard.of_module ~reports m, remarks)
+  (Parsimony.Scorecard.of_outcome outcome m, remarks)
 
 let count_remarks remarks ~func sub =
   List.length

@@ -152,7 +152,7 @@ let test_all_impls_under_pool () =
   let results =
     Pparallel.Pool.with_pool 2 (fun pool ->
         Pparallel.Pool.map pool
-          (fun impl -> Pharness.Runner.run ~check:true k impl)
+          (fun impl -> Pharness.Runner.run k impl)
           impls)
   in
   let reference = List.hd results in

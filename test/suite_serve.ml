@@ -205,22 +205,11 @@ let test_cache_key_sensitivity () =
   distinct "options change key"
     (base ~opts:{ Parsimony.Options.default with boscc = true } ());
   distinct "math lib changes key" (base ~opts:Parsimony.Options.ispc ());
-  distinct "strategy changes key"
-    (base
-       ~opts:
-         {
-           Parsimony.Options.default with
-           strategy = Parsimony.Options.SlpOptimal;
-         }
-       ());
-  distinct "slp pairing mode changes key"
-    (base
-       ~opts:
-         {
-           Parsimony.Options.default with
-           strategy = Parsimony.Options.SlpGreedy;
-         }
-       ());
+  let strategy strategy = base ~opts:{ Parsimony.Options.default with strategy } () in
+  distinct "strategy changes key" (strategy Parsimony.Options.SlpOptimal);
+  distinct "autovec strategy changes key" (strategy Parsimony.Options.Autovec);
+  Alcotest.(check bool) "autovec and slp keys differ" true
+    (strategy Parsimony.Options.Autovec <> strategy Parsimony.Options.SlpOptimal);
   Alcotest.(check bool) "default opts equal default key" true
     (base ~opts:Parsimony.Options.default () = k0);
   distinct "cost model changes key" (base ~model_id:"sim-512bit-deadbeef" ());
@@ -408,6 +397,83 @@ let test_serve_protocol () =
     summary.Pharness.Serve.s_errors;
   Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists socket)
 
+(* -- every strategy's report reaches the wire: a report or compile
+   request under slp answers with the SLP packer's scorecard, the same
+   one [psimc report --strategy slp] prints -- *)
+
+let slp_opts =
+  { Parsimony.Options.default with strategy = Parsimony.Options.SlpOptimal }
+
+let test_serve_slp_report () =
+  let socket = temp_socket "psimc-slp" in
+  let cfg =
+    { (Pharness.Serve.default_config (Pharness.Serve.Unix_path socket)) with jobs = 1 }
+  in
+  let srv = Domain.spawn (fun () -> Pharness.Serve.run cfg) in
+  let c = Pharness.Loadgen.connect_retry (Pharness.Serve.Unix_path socket) in
+  let result verb =
+    let r =
+      Result.get_ok
+        (Pharness.Loadgen.rpc c
+           (Pobs.Json.Obj
+              [
+                ("verb", Pobs.Json.Str verb);
+                ("kernel", Pobs.Json.Str "gray_to_bgra");
+                ("options", Pobs.Json.Obj [ ("strategy", Pobs.Json.Str "slp") ]);
+              ]))
+    in
+    Alcotest.(check bool) (verb ^ " ok") true (member_bool r "ok");
+    Option.get (Pobs.Json.member "result" r)
+  in
+  let report, compile =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore
+          (Pharness.Loadgen.rpc c
+             (Pobs.Json.Obj [ ("verb", Pobs.Json.Str "shutdown") ]));
+        Pharness.Loadgen.close_client c)
+      (fun () -> (result "report", result "compile"))
+  in
+  ignore (Domain.join srv);
+  let k = Option.get (Pharness.Runner.find_kernel "gray_to_bgra") in
+  let m, outcome =
+    Pharness.Pipeline.compile
+      ~cfg:{ Pharness.Pipeline.default with opts = slp_opts }
+      ~name:k.kname
+      (Pharness.Runner.kernel_source k (Some slp_opts))
+  in
+  let expected = Parsimony.Scorecard.of_outcome outcome m in
+  (match (expected, Pobs.Json.member "scorecards" report) with
+  | [ card ], Some (Pobs.Json.Arr [ got ]) ->
+      Alcotest.(check int) "one pack" 1 card.Parsimony.Scorecard.slp_packs;
+      Alcotest.(check string) "the card psimc report prints"
+        (Pobs.Json.to_string_compact (Parsimony.Scorecard.to_json card))
+        (Pobs.Json.to_string_compact got)
+  | _ -> Alcotest.fail "expected exactly one scorecard");
+  Alcotest.(check bool) "compile counts the packed function" true
+    (Pobs.Json.member "vectorized_funcs" compile = Some (Pobs.Json.Int 1))
+
+(* -- serve builds autovec the way the benchmark does: a Pipeline build
+   under the autovec strategy runs as many VM cycles as Runner.Autovec -- *)
+
+let test_autovec_build_matches_runner () =
+  let opts =
+    { Parsimony.Options.default with strategy = Parsimony.Options.Autovec }
+  in
+  List.iter
+    (fun name ->
+      let k = Option.get (Pharness.Runner.find_kernel name) in
+      let m, _ =
+        Pharness.Pipeline.compile
+          ~cfg:{ Pharness.Pipeline.default with opts }
+          ~name:k.kname
+          (Pharness.Runner.kernel_source k (Some opts))
+      in
+      let served = Pharness.Runner.run_module k Pharness.Runner.Autovec m in
+      let bench = Pharness.Runner.run k Pharness.Runner.Autovec in
+      Alcotest.(check (float 0.0)) (name ^ ": cycles") bench.cycles served.cycles)
+    [ "operation_binary8u_saturated_add"; "bgra_to_gray"; "get_col_sums"; "copy_u8" ]
+
 (* -- end-to-end: multi-client load, reconciliation, clean drain -- *)
 
 let test_serve_load_reconciles () =
@@ -472,5 +538,9 @@ let suites =
         Alcotest.test_case "wire protocol" `Quick test_serve_protocol;
         Alcotest.test_case "multi-client load reconciles" `Quick
           test_serve_load_reconciles;
+        Alcotest.test_case "slp report carries the packer's scorecard" `Quick
+          test_serve_slp_report;
+        Alcotest.test_case "autovec build matches the benchmark's" `Quick
+          test_autovec_build_matches_runner;
       ] );
   ]

@@ -1,18 +1,18 @@
 (* Tests for the SLP packer (lib/core/slp.ml), the third compilation
    strategy: pinned pack/reject decisions on suite kernels (including
    the schedule gate that drops throughput-profitable packs whose
-   insert chains lengthen the critical path), the optimal-mode
-   dominance guarantee over greedy pairing, a serial translation-
-   validation case for the non-commutative operand-order regression,
-   an SLP-vs-scalar output differential over every benchmark kernel on
-   both execution engines, and scorecard/remark/report reconciliation. *)
+   insert chains lengthen the critical path, and the narrower window
+   global pairing keeps instead), a serial translation-validation case
+   for the non-commutative operand-order regression, an SLP-vs-scalar
+   output differential over every benchmark kernel on both execution
+   engines, and scorecard/remark/report reconciliation. *)
 
-let slp_opts strategy = { Parsimony.Options.default with strategy }
+let slp_opts =
+  { Parsimony.Options.default with strategy = Parsimony.Options.SlpOptimal }
 
-let compile_slp ?(strategy = Parsimony.Options.SlpOptimal)
-    (k : Psimdlib.Workload.kernel) =
+let compile_slp (k : Psimdlib.Workload.kernel) =
   let m = Pfrontend.Lower.compile ~name:k.kname k.serial_src in
-  let reports = Parsimony.Slp.run_module ~opts:(slp_opts strategy) m in
+  let reports = Parsimony.Slp.run_module m in
   (m, reports)
 
 type rollup = {
@@ -86,31 +86,16 @@ let test_schedule_gate_rejects () =
   Alcotest.(check int) "interleave_uv packs" 0 r.packs;
   Alcotest.(check bool) "rejection recorded as cost" true (r.rej_cost >= 1)
 
-(* -- optimal-mode dominance: the goSLP-style global pairing is never
-   worse than greedy under the cost model, and strictly better where
-   greedy's maximal-first chunking commits to a pack the schedule gate
-   then drops -- *)
-
-let test_optimal_dominates_greedy () =
-  List.iter
-    (fun (k : Psimdlib.Workload.kernel) ->
-      let _, greedy = compile_slp ~strategy:Parsimony.Options.SlpGreedy k in
-      let _, optimal = compile_slp ~strategy:Parsimony.Options.SlpOptimal k in
-      let gs = (rollup greedy).saving and os = (rollup optimal).saving in
-      if os < gs then
-        Alcotest.failf "%s: optimal saving %.2f < greedy %.2f" k.kname os gs)
-    Psimdlib.Registry.all
+(* -- global pairing keeps a narrower window where the maximal one
+   loses -- *)
 
 let test_optimal_strictly_better_somewhere () =
-  (* gray_to_bgra: greedy packs the maximal 4-wide store run, which the
-     schedule gate drops; optimal also has the narrower windows and
-     keeps a profitable one *)
-  let k = find_kernel "gray_to_bgra" in
-  let _, greedy = compile_slp ~strategy:Parsimony.Options.SlpGreedy k in
-  let _, optimal = compile_slp ~strategy:Parsimony.Options.SlpOptimal k in
-  Alcotest.(check int) "greedy finds nothing" 0 (rollup greedy).packs;
+  (* gray_to_bgra: the maximal 4-wide store run is the pack greedy
+     pairing would commit, and the schedule gate drops it; the global
+     search also has the narrower windows and keeps a profitable one *)
+  let _, reports = compile_slp (find_kernel "gray_to_bgra") in
   Alcotest.(check bool) "optimal packs the narrower window" true
-    ((rollup optimal).packs >= 1)
+    ((rollup reports).packs >= 1)
 
 (* -- serial translation validation: the bounded equivalence prover on
    the packed serial function.  The store pair below is the minimized
@@ -130,13 +115,7 @@ void subs(int32* restrict dst, int64 n) {
 
 let test_serial_tv_proves () =
   let m = Pfrontend.Lower.compile ~name:"subs" sub_pair_src in
-  let transform m =
-    ignore
-      (Parsimony.Slp.run_module ~opts:(slp_opts Parsimony.Options.SlpOptimal) m);
-    Panalysis.Check.check_module m;
-    Parsimony.Simplify.run_module m
-  in
-  let results = Parsimony.Tv.verify_module ~serial:true ~transform m in
+  let results = Parsimony.Tv.verify_module ~opts:slp_opts m in
   Alcotest.(check bool) "one function verified" true (List.length results = 1);
   List.iter
     (fun (r : Parsimony.Tv.result) ->
@@ -157,8 +136,7 @@ let test_differential engine () =
     (fun (k : Psimdlib.Workload.kernel) ->
       let scalar = Pharness.Runner.run ~engine k Pharness.Runner.Scalar in
       let slp =
-        Pharness.Runner.run ~check:true ~engine k
-          (Pharness.Runner.SlpImpl (slp_opts Parsimony.Options.SlpOptimal))
+        Pharness.Runner.run ~engine k (Pharness.Runner.SlpImpl slp_opts)
       in
       List.iter2
         (fun (name, expected) (name', got) ->
@@ -183,9 +161,7 @@ let test_scorecard_remarks_reconcile () =
       let m = Pfrontend.Lower.compile ~name:k.kname k.serial_src in
       let reports, remarks =
         Pobs.Remarks.collect Pobs.Remarks.Full (fun () ->
-            Parsimony.Slp.run_module
-              ~opts:(slp_opts Parsimony.Options.SlpOptimal)
-              m)
+            Parsimony.Slp.run_module m)
       in
       Parsimony.Simplify.run_module m;
       let r = rollup reports in
@@ -201,7 +177,9 @@ let test_scorecard_remarks_reconcile () =
         (k.kname ^ ": one missed remark per rejection")
         (r.rej_cost + r.rej_dep + r.capped)
         (count (slp_remark Pobs.Remarks.Missed));
-      let cards = Parsimony.Scorecard.of_module_slp ~reports m in
+      let cards =
+        Parsimony.Scorecard.of_outcome (Parsimony.Driver.Slp reports) m
+      in
       let sum f = List.fold_left (fun acc c -> acc + f c) 0 cards in
       Alcotest.(check int)
         (k.kname ^ ": scorecard packs mirror the report")
@@ -220,8 +198,6 @@ let suites =
         Alcotest.test_case "pinned pack decisions" `Quick test_pinned_packs;
         Alcotest.test_case "schedule gate rejects insert chains" `Quick
           test_schedule_gate_rejects;
-        Alcotest.test_case "optimal never loses to greedy" `Quick
-          test_optimal_dominates_greedy;
         Alcotest.test_case "optimal strictly better on gray_to_bgra" `Quick
           test_optimal_strictly_better_somewhere;
         Alcotest.test_case "serial translation validation proves" `Quick

@@ -96,12 +96,13 @@ let test_divergent_proved () =
 
 let test_flip_mask_refuted () =
   let m = compile divergent_src in
-  let transform vm =
-    Parsimony.Tv.default_transform vm;
-    checkb "mutation found a blend to flip" true
-      (Pfuzz.Mutate.flip_linearized_mask vm)
+  let vm = Pir.Func.copy_module m in
+  ignore (Parsimony.Driver.run (Some Parsimony.Options.default) vm);
+  checkb "mutation found a blend to flip" true
+    (Pfuzz.Mutate.flip_linearized_mask vm);
+  let results =
+    Parsimony.Tv.verify_pair ~params:div_params ~serial:false ~reference:m vm
   in
-  let results = Parsimony.Tv.verify_module ~params:div_params ~transform m in
   (* the mutation lands in one of the two lowered SPMD functions; that
      one must refute with a concrete lane-level diff *)
   match
