@@ -222,7 +222,9 @@ let print_reports = function
       List.iter (fun r -> Fmt.pr "%a@." Parsimony.Vectorizer.pp_report r) reports
   | Parsimony.Driver.Autovec reports ->
       List.iter (fun r -> Fmt.pr "%a@." Pautovec.Autovec.pp_report r) reports
-  | Parsimony.Driver.Slp _ | Parsimony.Driver.Unvectorized -> ()
+  | Parsimony.Driver.Slp reports ->
+      List.iter (fun r -> Fmt.pr "%a@." Parsimony.Slp.pp_report r) reports
+  | Parsimony.Driver.Unvectorized -> ()
 
 let build_cmd =
   let run obs opts file =

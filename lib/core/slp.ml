@@ -71,6 +71,13 @@ let fresh_report fname =
     est_saving = 0.0;
   }
 
+let pp_report ppf r =
+  Fmt.pf ppf
+    "%s: packs=%d packed-instrs=%d packed(ld/st)=%d/%d rejected(cost/dep)=%d/%d \
+     search-capped=%d est-saving=%.2f"
+    r.func r.packs r.packed_instrs r.packed_loads r.packed_stores r.rejected_cost
+    r.rejected_dep r.search_capped r.est_saving
+
 (* widest pack the pass builds; wider runs are chunked *)
 let max_lanes = 16
 

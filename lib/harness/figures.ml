@@ -27,6 +27,22 @@ let geomeans (rows : row list) : (string * float) list =
         rows;
       List.mapi (fun i (s, _) -> (s, exp (sums.(i) /. count))) r0.series
 
+(** A figure's rows plus its per-series geomeans, as JSON.  Non-finite
+    floats (the hand-implementation column is [nan] where no
+    hand-written kernel exists) are emitted as [null]. *)
+let of_rows (rows : row list) : Pobs.Json.t =
+  let open Pobs.Json in
+  let series l = Obj (List.map (fun (s, v) -> (s, Float v)) l) in
+  Obj
+    [
+      ( "rows",
+        Arr
+          (List.map
+             (fun r -> Obj [ ("name", Str r.name); ("series", series r.series) ])
+             rows) );
+      ("geomeans", series (geomeans rows));
+    ]
+
 let pp_table ppf ~title ~unit rows =
   Fmt.pf ppf "@.== %s ==@." title;
   (match rows with

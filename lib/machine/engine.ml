@@ -52,6 +52,7 @@ let reset_profile = function
 (** Capture the typed profile of everything executed so far.  Only
     meaningful when the engine was created with [~profile:true] (or
     after [set_profile t true]); otherwise the profile is empty. *)
-let profile = function
-  | I it -> Interp.capture it
-  | V vm -> Vm.capture vm
+let profile t =
+  let p = match t with I it -> Interp.capture it | V vm -> Vm.capture vm in
+  Profile.publish p;
+  p

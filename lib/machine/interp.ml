@@ -1,21 +1,13 @@
-(** Execution engines for PIR on the simulated machine.
+(** The tree-walking interpreter for PIR on the simulated machine.
 
-    Two engines share this module:
-
-    - the single-thread interpreter, which executes ordinary (serial or
-      vectorized) functions and accumulates cycle costs from
-      [Cost.model]; and
-
-    - the SPMD reference executor, which gives SPMD-annotated scalar
-      functions their programming-model semantics (paper §3): a gang of
-      conceptually independent threads with weak forward-progress,
-      scheduled cooperatively and exchanging data only at explicit
-      horizontal operations.  It is the oracle that differential tests
-      compare the vectorizer's output against.
-
-    When the interpreter calls a function that still carries an SPMD
-    annotation it dispatches one gang to the reference executor, so the
-    same driver code runs before and after vectorization. *)
+    It executes ordinary (serial or vectorized) functions and
+    accumulates cycle costs from [Cost.model].  A call to a function
+    that still carries an SPMD annotation runs one gang on the shared
+    gang executor ({!Gang}), which gives SPMD-annotated scalar functions
+    their programming-model semantics (paper §3), so the same driver
+    code runs before and after vectorization.  That reference is the
+    oracle the differential tests compare the vectorizer's output
+    against. *)
 
 open Pir.Instr
 
@@ -598,214 +590,69 @@ and dispatch_call t name args : Value.t =
   | CFunc callee -> exec_func t callee args
   | CUnknown -> trap "call to unknown function %s" name
 
-(* -- SPMD reference executor -- *)
+(* -- SPMD reference executor: one gang on [Gang], over machine values,
+   with per-instruction accounting (threads park mid-block, so the
+   serial engine's block-granular charges would double-count on
+   resume) -- *)
 
-(* A logical thread of the gang: its own environment and control
-   position; [AtSync] marks a thread parked at a horizontal operation
-   with its evaluated arguments. *)
 and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
-  let { Pir.Func.gang_size; partial } =
-    match f.spmd with Some s -> s | None -> assert false
-  in
-  (* calling convention: ... captured params ..., gang_num, num_threads *)
-  let gang_num, num_threads =
-    match List.rev args with
-    | nt :: gn :: _ -> (Value.as_int gn, Value.as_int nt)
-    | _ -> trap "SPMD function %s called with too few arguments" f.fname
-  in
-  let active =
-    if partial then
-      let rem = Int64.sub num_threads (Int64.mul gang_num (Int64.of_int gang_size)) in
-      max 0 (min gang_size (Int64.to_int rem))
-    else gang_size
-  in
   let fe = fexec_of t f in
-  let module TS = struct
-    type status = Running | AtSync of instr * Value.t list | Finished
-
-    type thread = {
-      lane : int;
-      env : env;
-      mutable be : bexec;
-      mutable idx : int;
-      mutable prev : string;
-      mutable status : status;
-    }
-  end in
-  let open TS in
-  let threads =
-    Array.init active (fun lane ->
-        {
-          lane;
-          env = make_env f args;
-          be = fe.entry_be;
-          idx = 0;
-          prev = "$entry";
-          status = Running;
-        })
-  in
   let frame = Memory.mark t.mem in
-  if t.profile then fe.entry_be.p_entries <- fe.entry_be.p_entries + active;
-  (* Step one thread until it parks or finishes.  On block entry the phi
-     prefix is evaluated atomically (phis read their inputs
-     simultaneously), so [idx] always points past the phis. *)
-  let step_thread th =
-    let exec_call instr name vargs =
-      if Pir.Intrinsics.is_horizontal name then begin
-        th.status <- AtSync (instr, vargs);
-        Value.Unit
-      end
-      else if name = Pir.Intrinsics.lane_num then Value.I (Int64.of_int th.lane)
-      else dispatch_call t name vargs
-    in
-    let enter_bexec (nb : bexec) =
-      th.prev <- th.be.blk.bname;
-      th.be <- nb;
-      if t.profile then nb.p_entries <- nb.p_entries + 1;
-      exec_phis t f th.env nb ~prev_label:th.prev ~account:true;
-      th.idx <- nb.nphis
-    in
-    let continue = ref true in
-    while !continue && th.status = Running do
-      let all = th.be.all in
-      if th.idx < Array.length all then begin
-        let i = Array.unsafe_get all th.idx in
-        (* per-instruction accounting: SPMD threads park mid-block, so
-           the block-granular fast path of the serial engine would
-           double-count on resume *)
-        burn t;
-        t.stats.instrs <- t.stats.instrs + 1;
-        if Pir.Types.is_vector i.ty then
-          t.stats.vector_instrs <- t.stats.vector_instrs + 1;
-        if t.count_cost then charge t (Array.unsafe_get th.be.costs th.idx);
-        let v = exec_instr t f th.env ~prev_label:th.prev ~exec_call i in
-        if t.profile then begin
-          th.be.p_instrs <- th.be.p_instrs + 1;
-          if t.count_cost then
-            attr_cyc th.be (Array.unsafe_get th.be.costs th.idx)
-        end;
-        match th.status with
-        | AtSync _ -> () (* parked; do not advance; re-run on wake *)
-        | _ ->
-            if i.ty <> Pir.Types.Void then th.env.vals.(i.id) <- v;
-            th.idx <- th.idx + 1
-      end
-      else begin
-        if t.count_cost then begin
-          charge t th.be.term_cost;
-          if t.profile then attr_cyc th.be th.be.term_cost
-        end;
-        match th.be.blk.term with
-        | Br _ -> (
-            match th.be.targets with
-            | Tbr nb -> enter_bexec nb
-            | _ -> assert false)
-        | CondBr (c, _, _) -> (
-            match th.be.targets with
-            | Tcond (bt, bf) ->
-                enter_bexec
-                  (if Value.as_bool (get_operand th.env c) then bt else bf)
-            | _ -> assert false)
-        | Ret _ ->
-            th.status <- Finished;
-            continue := false
-        | Unreachable -> trap "SPMD thread reached unreachable in %s" f.fname
-      end
-    done
-  in
-  (* Resume all parked threads with per-lane results of the horizontal
-     operation they are parked at. *)
-  let resolve_sync () =
-    let parked =
-      Array.to_list threads
-      |> List.filter_map (fun th ->
-             match th.status with AtSync (i, args) -> Some (th, i, args) | _ -> None)
-    in
-    match parked with
-    | [] -> ()
-    | (_, i0, _) :: _ ->
-        if List.exists (fun (_, i, _) -> i.id <> i0.id) parked then
-          trap
-            "divergent horizontal operation: gang threads synchronized at \
-             different call sites in %s"
-            f.fname;
-        if List.length parked <> Array.length threads then
-          trap
-            "divergent horizontal operation: only %d of %d threads reached \
-             the synchronization in %s (weak forward progress violated)"
-            (List.length parked) (Array.length threads) f.fname;
-        let name = match i0.op with Call (n, _) -> n | _ -> assert false in
-        let results =
-          if name = Pir.Intrinsics.gang_sync then
-            List.map (fun _ -> Value.Unit) parked
-          else if name = Pir.Intrinsics.shuffle then
-            (* lane l receives the value contributed by lane idx(l) *)
-            let contributions = Array.make gang_size Value.Unit in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ v; _ ] -> contributions.(th.lane) <- v
-                | _ -> trap "psim.shuffle expects 2 arguments")
-              parked;
-            List.map
-              (fun ((_ : thread), _, args) ->
-                match args with
-                | [ _; idx ] ->
-                    let k = Int64.to_int (Value.as_int idx) land (gang_size - 1) in
-                    if k < active then contributions.(k)
-                    else Value.zero (Pir.Types.Scalar Pir.Types.I8)
-                | _ -> assert false)
-              parked
-          else if name = Pir.Intrinsics.sad_u8 then
-            (* per-8-lane-group sum of absolute differences; every lane of
-               a group receives the group's sum (paper §7 abstraction) *)
-            let a = Array.make gang_size 0L and b = Array.make gang_size 0L in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ x; y ] ->
-                    a.(th.lane) <- Value.as_int x;
-                    b.(th.lane) <- Value.as_int y
-                | _ -> trap "psim.sad_u8 expects 2 arguments")
-              parked;
-            List.map
-              (fun ((th : thread), _, _) ->
-                let g = th.lane / 8 in
-                let acc = ref 0L in
-                for k = 0 to 7 do
-                  let l = (g * 8) + k in
-                  if l < active then
-                    acc := Int64.add !acc (Pir.Ints.abs_diff_u 8 a.(l) b.(l))
-                done;
-                Value.I !acc)
-              parked
-          else trap "unknown horizontal operation %s" name
-        in
-        List.iter2
-          (fun ((th : thread), i, _) r ->
-            if i.ty <> Pir.Types.Void then th.env.vals.(i.id) <- r;
-            th.idx <- th.idx + 1;
-            th.status <- Running)
-          parked results
-  in
-  let rec scheduler () =
-    let ran = ref false in
-    Array.iter
-      (fun th ->
-        if th.status = Running then begin
-          ran := true;
-          step_thread th
-        end)
-      threads;
-    let unfinished = Array.exists (fun th -> th.status <> Finished) threads in
-    if unfinished then begin
-      resolve_sync ();
-      if (not !ran) && not (Array.exists (fun th -> th.status = Running) threads)
-      then trap "SPMD deadlock in %s" f.fname;
-      scheduler ()
-    end
-  in
-  if active > 0 then scheduler ();
+  Gang.run
+    {
+      fault = (fun s -> Trap s);
+      to_int = Value.as_int;
+      unit = Value.Unit;
+      zero_i8 = (fun () -> Value.zero (Pir.Types.Scalar Pir.Types.I8));
+      lane_num = (fun _ lane -> Value.I (Int64.of_int lane));
+      sad_sum =
+        (fun _ pairs ->
+          Value.I
+            (List.fold_left
+               (fun acc (x, y) ->
+                 Int64.add acc (Pir.Ints.abs_diff_u 8 (Value.as_int x) (Value.as_int y)))
+               0L pairs));
+      make_env = (fun () -> make_env f args);
+      set = (fun env id v -> env.vals.(id) <- v);
+      entry = fe.entry_be;
+      block = (fun be -> be.blk);
+      body = (fun be -> be.all);
+      succ =
+        (fun be l ->
+          match be.targets with
+          | Tbr nb -> nb
+          | Tcond (bt, bf) -> if String.equal l bt.blk.bname then bt else bf
+          | Tnone -> assert false);
+      enter =
+        (fun env be ~prev ->
+          if t.profile then be.p_entries <- be.p_entries + 1;
+          exec_phis t f env be ~prev_label:prev ~account:true;
+          be.nphis);
+      exec =
+        (fun env be k ~prev ~exec_call ->
+          let i = Array.unsafe_get be.all k in
+          let c = Array.unsafe_get be.costs k in
+          burn t;
+          t.stats.instrs <- t.stats.instrs + 1;
+          if Pir.Types.is_vector i.ty then
+            t.stats.vector_instrs <- t.stats.vector_instrs + 1;
+          if t.count_cost then charge t c;
+          let v = exec_instr t f env ~prev_label:prev ~exec_call i in
+          if t.profile then begin
+            be.p_instrs <- be.p_instrs + 1;
+            if t.count_cost then attr_cyc be c
+          end;
+          v);
+      call = dispatch_call t;
+      cond = (fun env c -> Value.as_bool (get_operand env c));
+      leave =
+        (fun be ->
+          if t.count_cost then begin
+            charge t be.term_cost;
+            if t.profile then attr_cyc be be.term_cost
+          end);
+    }
+    f args;
   Memory.release t.mem frame;
   Value.Unit
 
@@ -824,25 +671,17 @@ let run t name args =
       finish ();
       raise e
 
-(* -- profiling report --
+(* -- profiling --
 
    The accumulators live on the [bexec] caches, so attribution costs one
    predictable branch per block (serial engine) or per instruction (SPMD
-   engine) and nothing at all when [profile] is off.  Summing the report
-   over all blocks reproduces [stats]: instruction counts exactly,
-   cycles up to float addition reorder.  Note [fexec_of] rebuilds a
-   function's cache (dropping its counts) if the function is
-   structurally modified between runs — run the passes first, as usual. *)
+   engine) and nothing at all when [profile] is off.  Summing the blocks
+   of a capture reproduces [stats]: instruction counts exactly, cycles
+   up to float addition reorder.  Note [fexec_of] rebuilds a function's
+   cache (dropping its counts) if the function is structurally modified
+   between runs — run the passes first, as usual. *)
 
 let set_profile t on = t.profile <- on
-
-type block_profile = {
-  bp_func : string;
-  bp_block : string;
-  bp_entries : int;
-  bp_instrs : int;
-  bp_cycles : float;
-}
 
 let reset_profile t =
   Hashtbl.iter
@@ -860,100 +699,47 @@ let reset_profile t =
      to whatever runs next *)
   Float.Array.set t.prof_mark 0 (Float.Array.get t.cyc 0)
 
-(** Executed blocks, hottest (most cycles) first; ties and the zero-cost
-    tail are ordered by function then block name so the report is
-    deterministic. *)
-let profile_report t : block_profile list =
-  Hashtbl.fold
-    (fun _ fe acc ->
-      Array.fold_left
-        (fun acc be ->
-          if be.p_entries = 0 then acc
-          else
-            {
-              bp_func = fe.fn.Pir.Func.fname;
-              bp_block = be.blk.Pir.Func.bname;
-              bp_entries = be.p_entries;
-              bp_instrs = be.p_instrs;
-              bp_cycles = Float.Array.get be.p_cyc 0;
-            }
-            :: acc)
-        acc fe.bes)
-    t.fexecs []
-  |> List.sort (fun a b ->
-         match compare b.bp_cycles a.bp_cycles with
-         | 0 -> (
-             match String.compare a.bp_func b.bp_func with
-             | 0 -> String.compare a.bp_block b.bp_block
-             | c -> c)
-         | c -> c)
-
-(** Hot-block report: top [limit] blocks by attributed cycles, with
-    cumulative percentage of all attributed cycles. *)
-let pp_profile ?(limit = 20) ppf t =
-  let rows = profile_report t in
-  let total =
-    List.fold_left (fun acc r -> acc +. r.bp_cycles) 0.0 rows
-  in
-  let shown = List.filteri (fun i _ -> i < limit) rows in
-  Fmt.pf ppf "%-24s %-16s %10s %12s %14s %7s@." "function" "block" "entries"
-    "instrs" "cycles" "cum%";
-  let cum = ref 0.0 in
-  List.iter
-    (fun r ->
-      cum := !cum +. r.bp_cycles;
-      Fmt.pf ppf "%-24s %-16s %10d %12d %14.1f %6.1f%%@." r.bp_func r.bp_block
-        r.bp_entries r.bp_instrs r.bp_cycles
-        (if total > 0.0 then 100.0 *. !cum /. total else 0.0))
-    shown;
-  let rest = List.length rows - List.length shown in
-  if rest > 0 then Fmt.pf ppf "(+ %d more block(s))@." rest
-
 (* -- typed profile capture --
 
    [capture] packages the bexec accumulators, the opcode mix and the
-   call tree into a [Profile.t].  The VM's [Vm.capture] reuses
-   [profile_report]/[profile_mix] and merges its own per-code counters
-   on top (SPMD gangs — and functions they call — execute on this
-   interpreter even under the VM, so their attribution lands here). *)
+   call tree into a [Profile.t].  [Vm.capture] merges its own per-code
+   counters on top of this one (SPMD gangs — and functions they call —
+   execute on this interpreter even under the VM, so their attribution
+   lands here).
 
-(* class -> dynamic count.  Statically each block has a fixed class
-   multiset; every entry executes the whole block (SPMD threads park at
-   block boundaries, never mid-block), so weighting by [p_entries] is
-   exact and reproduces [p_instrs]. *)
-let profile_mix t : (string, int) Hashtbl.t =
-  let mix = Hashtbl.create 16 in
+   Opcode mix: statically each block has a fixed class multiset, and
+   every thread that enters a block executes all of it (a parked call
+   resumes past itself), so weighting by [p_entries] is exact and
+   reproduces [p_instrs]. *)
+
+let capture t : Profile.t =
+  flush_cycles t;
+  prof_flush t;
+  let blocks = ref [] and mix = Hashtbl.create 16 in
   Hashtbl.iter
     (fun _ fe ->
       Array.iter
         (fun be ->
-          if be.p_entries > 0 then
+          if be.p_entries > 0 then begin
+            blocks :=
+              {
+                Profile.pb_func = fe.fn.Pir.Func.fname;
+                pb_block = be.blk.Pir.Func.bname;
+                pb_entries = be.p_entries;
+                pb_instrs = be.p_instrs;
+                pb_cycles = Float.Array.get be.p_cyc 0;
+              }
+              :: !blocks;
             Array.iter
               (fun (i : Pir.Instr.instr) ->
                 let cls = Profile.classify i in
                 let n = Option.value ~default:0 (Hashtbl.find_opt mix cls) in
                 Hashtbl.replace mix cls (n + be.p_entries))
-              be.all)
+              be.all
+          end)
         fe.bes)
     t.fexecs;
-  mix
-
-let capture ?(engine = "interp") t : Profile.t =
-  flush_cycles t;
-  prof_flush t;
-  let blocks =
-    List.map
-      (fun r ->
-        {
-          Profile.pb_func = r.bp_func;
-          pb_block = r.bp_block;
-          pb_entries = r.bp_entries;
-          pb_instrs = r.bp_instrs;
-          pb_cycles = r.bp_cycles;
-        })
-      (profile_report t)
-  in
-  let opcode_mix = Hashtbl.fold (fun c n acc -> (c, n) :: acc) (profile_mix t) [] in
-  Profile.v ~engine ~blocks ~opcode_mix
+  let opcode_mix = Hashtbl.fold (fun c n acc -> (c, n) :: acc) mix [] in
+  Profile.v ~engine:"interp" ~blocks:!blocks ~opcode_mix
     ~folded:(Profile.folded_of_root t.prof_root)
     ~total_cycles:t.stats.cycles ~total_instrs:t.stats.instrs

@@ -21,7 +21,7 @@
      engines' call tracking with self-time flushed at call boundaries;
    - run totals, which must equal the engine's [Stats].
 
-   Capturing a profile also feeds the metrics registry
+   [Engine.profile] also feeds the metrics registry
    ([vm.block_cycles], [vm.opcode_mix]) — a no-op unless
    [Pobs.Metrics.enable] was called, so unobserved captures stay free. *)
 
@@ -140,8 +140,8 @@ let publish (t : t) =
       Pobs.Metrics.add ~labels:[ ("engine", t.p_engine); ("class", cls) ] m_opcode_mix n)
     t.p_opcode_mix
 
-(** Build a profile (sorts blocks hottest-first and the mix by
-    descending count) and feed the metrics registry. *)
+(** Build a profile: sorts blocks hottest-first and the mix by
+    descending count. *)
 let v ~engine ~blocks ~opcode_mix ~folded ~total_cycles ~total_instrs : t =
   let blocks =
     List.sort
@@ -157,12 +157,8 @@ let v ~engine ~blocks ~opcode_mix ~folded ~total_cycles ~total_instrs : t =
         match compare nb na with 0 -> String.compare ca cb | c -> c)
       opcode_mix
   in
-  let t =
-    { p_engine = engine; p_blocks = blocks; p_opcode_mix = opcode_mix;
-      p_folded = folded; p_total_cycles = total_cycles; p_total_instrs = total_instrs }
-  in
-  publish t;
-  t
+  { p_engine = engine; p_blocks = blocks; p_opcode_mix = opcode_mix;
+    p_folded = folded; p_total_cycles = total_cycles; p_total_instrs = total_instrs }
 
 let sum_cycles (t : t) = List.fold_left (fun a b -> a +. b.pb_cycles) 0.0 t.p_blocks
 let sum_instrs (t : t) = List.fold_left (fun a b -> a + b.pb_instrs) 0 t.p_blocks

@@ -1255,16 +1255,16 @@ let reset_profile t =
     the passes first, as usual. *)
 let capture t : Profile.t =
   let it = t.it in
-  Interp.flush_cycles it;
-  Interp.prof_flush it;
   (* (func, block) -> (entries, instrs, cycles), interp side first *)
+  let ip = Interp.capture it in
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun (r : Interp.block_profile) ->
-      Hashtbl.replace tbl (r.bp_func, r.bp_block)
-        (r.bp_entries, r.bp_instrs, r.bp_cycles))
-    (Interp.profile_report it);
-  let mix = Interp.profile_mix it in
+    (fun (b : Profile.block) ->
+      Hashtbl.replace tbl (b.pb_func, b.pb_block)
+        (b.pb_entries, b.pb_instrs, b.pb_cycles))
+    ip.Profile.p_blocks;
+  let mix = Hashtbl.create 16 in
+  List.iter (fun (cls, n) -> Hashtbl.replace mix cls n) ip.Profile.p_opcode_mix;
   Hashtbl.iter
     (fun _ (c : Bc.code) ->
       let fname = c.Bc.c_fn.Pir.Func.fname in
@@ -1318,6 +1318,5 @@ let capture t : Profile.t =
       tbl []
   in
   let opcode_mix = Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) mix [] in
-  Profile.v ~engine:"vm" ~blocks ~opcode_mix
-    ~folded:(Profile.folded_of_root it.Interp.prof_root)
-    ~total_cycles:it.Interp.stats.cycles ~total_instrs:it.Interp.stats.instrs
+  Profile.v ~engine:"vm" ~blocks ~opcode_mix ~folded:ip.Profile.p_folded
+    ~total_cycles:ip.Profile.p_total_cycles ~total_instrs:ip.Profile.p_total_instrs

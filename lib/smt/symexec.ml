@@ -21,12 +21,13 @@
     the enumerated state space is the product of the domains of the
     variables that actually steer execution, not of all inputs.
 
-    The module mirrors the reference semantics of [Pmachine]:
-    {!Eval.pure_op} for data operations (including exact fold orders of
-    reductions and float rounding through [Value.round_float]),
-    [Interp.exec_instr] for memory, and [Interp.run_spmd_gang] — the
-    cooperative sequential-threads scheduler, horizontal-operation
-    parking, partial-gang activation — for SPMD reference execution. *)
+    Data operations follow {!Eval.pure_op} case by case (including
+    exact fold orders of reductions and float rounding through
+    [Value.round_float]) and memory follows [Interp.exec_instr].  SPMD
+    functions run on [Pmachine.Gang], the gang executor the
+    interpreter runs too (partial-gang activation, round-robin
+    threads, horizontal-operation parking and results), instantiated
+    here over symbolic values. *)
 
 open Pir
 
@@ -905,201 +906,51 @@ and dispatch_call xc name (args : sval list) : sval =
     | Some callee -> exec_func xc callee args
     | None -> raise (Sym_fault (Fmt.str "call to unknown function %s" name))
 
-(** SPMD reference execution, mirroring [Interp.run_spmd_gang]: [active]
-    sequential logical threads stepped round-robin (thread 0 first),
-    parking at horizontal operations which resolve once all threads
-    arrive at the same call site. *)
+(** SPMD reference execution: one gang on [Pmachine.Gang], over
+    symbolic values.  Fuel burns per instruction and per conditional
+    branch, as in serial execution.  Each block is paired with its
+    instruction array once per gang. *)
 and exec_spmd xc (f : Func.t) (args : sval list) : sval =
-  let { Func.gang_size; partial } =
-    match f.Func.spmd with Some s -> s | None -> assert false
+  let ctx = xc.ctx in
+  let blocks =
+    List.map (fun (b : Func.block) -> (b, (b, Array.of_list b.Func.instrs))) f.Func.blocks
   in
-  let gang_num, num_threads =
-    match List.rev args with
-    | nt :: gn :: _ -> (gn, nt)
-    | _ -> raise (Sym_fault (Fmt.str "SPMD function %s called with too few arguments" f.Func.fname))
-  in
-  let active =
-    if partial then
-      let gn = force_int (as_scalar gang_num)
-      and nt = force_int (as_scalar num_threads) in
-      let rem = Int64.sub nt (Int64.mul gn (Int64.of_int gang_size)) in
-      max 0 (min gang_size (Int64.to_int rem))
-    else gang_size
-  in
-  let module TS = struct
-    type status = Running | AtSync of Instr.instr * sval list | Finished
-
-    type thread = {
-      lane : int;
-      env : env;
-      mutable blk : Func.block;
-      mutable rest : Instr.instr list;  (** instructions not yet executed *)
-      mutable prev : string;
-      mutable status : status;
-    }
-  end in
-  let open TS in
-  let threads =
-    Array.init active (fun lane ->
-        {
-          lane;
-          env = make_env xc f args;
-          blk = Func.entry f;
-          rest = (Func.entry f).Func.instrs;
-          prev = "$entry";
-          status = Running;
-        })
-  in
-  let step_thread th =
-    let exec_call instr name vargs =
-      if Intrinsics.is_horizontal name then begin
-        th.status <- AtSync (instr, vargs);
-        SUnit
-      end
-      else if name = Intrinsics.lane_num then
-        S (int_const xc.ctx (Types.elem instr.Instr.ty) (Int64.of_int th.lane))
-      else dispatch_call xc name vargs
-    in
-    let enter_block (nb : Func.block) =
-      th.prev <- th.blk.Func.bname;
-      th.blk <- nb;
-      let nphis = exec_phis xc f th.env ~prev_label:th.prev nb in
-      th.rest <- List.filteri (fun k _ -> k >= nphis) nb.Func.instrs
-    in
-    let continue = ref true in
-    while !continue && th.status = Running do
-      match th.rest with
-      | i :: rest -> (
+  let block b = List.assq b blocks in
+  Pmachine.Gang.run
+    {
+      fault = (fun s -> Sym_fault s);
+      to_int = (fun v -> force_int (as_scalar v));
+      unit = SUnit;
+      zero_i8 = (fun () -> S (int_const ctx Types.I8 0L));
+      lane_num =
+        (fun i lane -> S (int_const ctx (Types.elem i.Instr.ty) (Int64.of_int lane)));
+      sad_sum =
+        (fun i pairs ->
+          let s = Types.elem i.Instr.ty in
+          S
+            (List.fold_left
+               (fun acc (x, y) ->
+                 let d = mk_ibin ctx Instr.AbsDiffU Types.I8 (as_scalar x) (as_scalar y) in
+                 mk_ibin ctx Instr.Add s acc (mk_cast ctx Instr.ZExt ~src:Types.I8 ~dst:s d))
+               (int_const ctx s 0L) pairs));
+      make_env = (fun () -> make_env xc f args);
+      set = (fun env id v -> env.vals.(id) <- v);
+      entry = block (Func.entry f);
+      block = fst;
+      body = snd;
+      succ = (fun _ l -> block (Func.find_block f l));
+      enter = (fun env (b, _) ~prev -> exec_phis xc f env ~prev_label:prev b);
+      exec =
+        (fun env (_, body) k ~prev ~exec_call ->
           burn xc;
-          let v = exec_instr_sym xc f th.env ~prev_label:th.prev ~exec_call i in
-          match th.status with
-          | AtSync _ -> () (* parked; re-run on wake *)
-          | _ ->
-              if i.Instr.ty <> Types.Void then th.env.vals.(i.Instr.id) <- v;
-              th.rest <- rest)
-      | [] -> (
-          match th.blk.Func.term with
-          | Instr.Br l -> enter_block (Func.find_block f l)
-          | Instr.CondBr (c, t, e) ->
-              burn xc;
-              enter_block
-                (Func.find_block f
-                   (if force_bool (as_scalar (th.env.get c)) then t else e))
-          | Instr.Ret _ ->
-              th.status <- Finished;
-              continue := false
-          | Instr.Unreachable ->
-              raise (Sym_fault (Fmt.str "SPMD thread reached unreachable in %s" f.Func.fname)))
-    done
-  in
-  let resolve_sync () =
-    let parked =
-      Array.to_list threads
-      |> List.filter_map (fun th ->
-             match th.status with
-             | AtSync (i, args) -> Some (th, i, args)
-             | _ -> None)
-    in
-    match parked with
-    | [] -> ()
-    | (_, i0, _) :: _ ->
-        if List.exists (fun (_, (i : Instr.instr), _) -> i.Instr.id <> i0.Instr.id) parked
-        then
-          raise
-            (Sym_fault
-               (Fmt.str
-                  "divergent horizontal operation: gang threads synchronized \
-                   at different call sites in %s"
-                  f.Func.fname));
-        if List.length parked <> Array.length threads then
-          raise
-            (Sym_fault
-               (Fmt.str
-                  "divergent horizontal operation: only %d of %d threads \
-                   reached the synchronization in %s"
-                  (List.length parked) (Array.length threads) f.Func.fname));
-        let name = match i0.Instr.op with Instr.Call (n, _) -> n | _ -> assert false in
-        let results =
-          if name = Intrinsics.gang_sync then List.map (fun _ -> SUnit) parked
-          else if name = Intrinsics.shuffle then begin
-            let contributions = Array.make gang_size SUnit in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ v; _ ] -> contributions.(th.lane) <- v
-                | _ -> raise (Sym_fault "psim.shuffle expects 2 arguments"))
-              parked;
-            List.map
-              (fun ((_ : thread), _, args) ->
-                match args with
-                | [ _; idx ] ->
-                    let k =
-                      Int64.to_int
-                        (Int64.logand (force_int (as_scalar idx))
-                           (Int64.of_int (gang_size - 1)))
-                    in
-                    if k < active then contributions.(k)
-                    else S (int_const xc.ctx Types.I8 0L)
-                | _ -> assert false)
-              parked
-          end
-          else if name = Intrinsics.sad_u8 then begin
-            let zero = int_const xc.ctx Types.I8 0L in
-            let a = Array.make gang_size zero and b = Array.make gang_size zero in
-            List.iter
-              (fun ((th : thread), _, args) ->
-                match args with
-                | [ x; y ] ->
-                    a.(th.lane) <- as_scalar x;
-                    b.(th.lane) <- as_scalar y
-                | _ -> raise (Sym_fault "psim.sad_u8 expects 2 arguments"))
-              parked;
-            List.map
-              (fun ((th : thread), (i : Instr.instr), _) ->
-                let s = Types.elem i.Instr.ty in
-                let g = th.lane / 8 in
-                let acc = ref (int_const xc.ctx s 0L) in
-                for k = 0 to 7 do
-                  let l = (g * 8) + k in
-                  if l < active then begin
-                    let d = mk_ibin xc.ctx Instr.AbsDiffU Types.I8 a.(l) b.(l) in
-                    acc :=
-                      mk_ibin xc.ctx Instr.Add s !acc
-                        (mk_cast xc.ctx Instr.ZExt ~src:Types.I8 ~dst:s d)
-                  end
-                done;
-                S !acc)
-              parked
-          end
-          else raise (Sym_fault (Fmt.str "unknown horizontal operation %s" name))
-        in
-        List.iter2
-          (fun ((th : thread), (i : Instr.instr), _) r ->
-            if i.Instr.ty <> Types.Void then th.env.vals.(i.Instr.id) <- r;
-            th.rest <- List.tl th.rest;
-            th.status <- Running)
-          parked results
-  in
-  let rec scheduler () =
-    let ran = ref false in
-    Array.iter
-      (fun th ->
-        if th.status = Running then begin
-          ran := true;
-          step_thread th
-        end)
-      threads;
-    let unfinished = Array.exists (fun th -> th.status <> Finished) threads in
-    if unfinished then begin
-      resolve_sync ();
-      if
-        (not !ran)
-        && not (Array.exists (fun th -> th.status = Running) threads)
-      then raise (Sym_fault (Fmt.str "SPMD deadlock in %s" f.Func.fname));
-      scheduler ()
-    end
-  in
-  if active > 0 then scheduler ();
+          exec_instr_sym xc f env ~prev_label:prev ~exec_call body.(k));
+      call = dispatch_call xc;
+      cond = (fun env c -> force_bool (as_scalar (env.get c)));
+      leave =
+        (fun (b, _) ->
+          match b.Func.term with Instr.CondBr _ -> burn xc | _ -> ());
+    }
+    f args;
   SUnit
 
 (** Execute [f]: SPMD functions get the cooperative reference scheduler,
@@ -1108,9 +959,6 @@ and exec_func xc (f : Func.t) (args : sval list) : sval =
   match f.Func.spmd with
   | Some _ -> exec_spmd xc f args
   | None -> exec_serial xc f args
-
-(* parked-thread resolution pops the parked call off [rest]: keep the
-   park marker consistent by never clearing [rest] elsewhere *)
 
 (* -- pretty-printing for counterexample traces -- *)
 

@@ -207,35 +207,28 @@ let test_profiler_matches_stats () =
     List.map (fun a -> Pmachine.Value.I (Int64.of_int a)) addrs @ k.scalars
   in
   ignore (Pmachine.Interp.run t k.kname args);
-  let report = Pmachine.Interp.profile_report t in
+  let p = Pmachine.Interp.capture t in
+  let report = p.Pmachine.Profile.p_blocks in
   Alcotest.(check bool) "report non-empty" true (report <> []);
-  let instrs =
-    List.fold_left
-      (fun acc (r : Pmachine.Interp.block_profile) -> acc + r.bp_instrs)
-      0 report
-  in
-  let cycles =
-    List.fold_left
-      (fun acc (r : Pmachine.Interp.block_profile) -> acc +. r.bp_cycles)
-      0.0 report
-  in
   let stats = t.Pmachine.Interp.stats in
   (* instruction attribution is exact *)
-  Alcotest.(check int) "per-block instrs sum to stats" stats.instrs instrs;
+  Alcotest.(check int) "per-block instrs sum to stats" stats.instrs
+    (Pmachine.Profile.sum_instrs p);
   (* cycle attribution agrees up to float summation order *)
+  let cycles = Pmachine.Profile.sum_cycles p in
   let rel = Float.abs (cycles -. stats.cycles) /. Float.max 1.0 stats.cycles in
   if rel > 1e-9 then
     Alcotest.failf "per-block cycles %f vs stats %f (rel err %g)" cycles
       stats.cycles rel;
   (* the report renders, and reset really zeroes it *)
-  let rendered = Fmt.str "%a" (Pmachine.Interp.pp_profile ~limit:5) t in
+  let rendered = Fmt.str "%a" (Pmachine.Profile.pp ~limit:5) p in
   Alcotest.(check bool) "report renders hot blocks" true
     (contains rendered k.kname);
   Pmachine.Interp.reset_profile t;
   Alcotest.(check (list string)) "reset clears the report" []
     (List.map
-       (fun (r : Pmachine.Interp.block_profile) -> r.bp_block)
-       (Pmachine.Interp.profile_report t))
+       (fun (b : Pmachine.Profile.block) -> b.pb_block)
+       (Pmachine.Interp.capture t).Pmachine.Profile.p_blocks)
 
 (* -- tracing does not perturb the benchmark tables -- *)
 
