@@ -29,7 +29,9 @@ type ('v, 'env, 'blk) engine = {
       (** a lane index or a thread count as an integer (the symbolic
           engine raises [Need_conc] when it still depends on inputs) *)
   unit : 'v;  (** result of [gang_sync] and of parked calls *)
-  zero_i8 : unit -> 'v;  (** what a shuffle from an inactive lane reads *)
+  zero : instr -> 'v;
+      (** what a shuffle from an inactive lane reads: the zero of the
+          call's type *)
   lane_num : instr -> int -> 'v;  (** [lane_num] of a thread *)
   sad_sum : instr -> ('v * 'v) list -> 'v;
       (** sum of the unsigned byte distances of an 8-lane group's active
@@ -87,7 +89,7 @@ let results e ~gang_size ~active (i0 : instr) threads =
     Array.map
       (fun (_, idx) ->
         let k = Int64.to_int (e.to_int idx) land (gang_size - 1) in
-        if k < active then fst pairs.(k) else e.zero_i8 ())
+        if k < active then fst pairs.(k) else e.zero i0)
       pairs
   end
   else if name = Pir.Intrinsics.sad_u8 then begin

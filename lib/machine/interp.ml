@@ -603,7 +603,7 @@ and run_spmd_gang t (f : Pir.Func.t) (args : Value.t list) : Value.t =
       fault = (fun s -> Trap s);
       to_int = Value.as_int;
       unit = Value.Unit;
-      zero_i8 = (fun () -> Value.zero (Pir.Types.Scalar Pir.Types.I8));
+      zero = (fun i -> Value.zero i.Pir.Instr.ty);
       lane_num = (fun _ lane -> Value.I (Int64.of_int lane));
       sad_sum =
         (fun _ pairs ->

@@ -2,23 +2,38 @@
 
     Address 0 is kept unmapped so it can serve as a null pointer.  All
     accesses are bounds-checked; an out-of-bounds access raises [Fault],
-    which differential tests rely on to catch miscompiled masks. *)
+    which differential tests rely on to catch miscompiled masks.
+
+    The address space is [limit] bytes long ([?size], 1 MiB by default)
+    and reads as zero until written.  Only a prefix of it is backed by
+    [data]: the buffer starts small and doubles, zero-filled, when an
+    access or an allocation reaches past it, never past [limit].  Which
+    accesses fault, and with what message, depends on [limit] alone. *)
 
 exception Fault of string
 
-type t = { mutable data : Bytes.t; mutable brk : int }
+type t = { mutable data : Bytes.t; mutable brk : int; mutable limit : int }
 
-let create ?(size = 1 lsl 20) () = { data = Bytes.make size '\000'; brk = 64 }
+(* most kernels reach a few KB of their 1 MiB *)
+let initial_backing = 4096
 
-let size t = Bytes.length t.data
+let create ?(size = 1 lsl 20) () =
+  { data = Bytes.make (min size initial_backing) '\000'; brk = 64; limit = size }
 
-let ensure t cap =
-  if cap > Bytes.length t.data then begin
-    let n = max cap (2 * Bytes.length t.data) in
-    let data = Bytes.make n '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+let size t = t.limit
+
+(* Back at least the first [n <= limit] bytes. *)
+let back t n =
+  let len = Bytes.length t.data in
+  if n > len then begin
+    let data = Bytes.make (min t.limit (max n (2 * len))) '\000' in
+    Bytes.blit t.data 0 data 0 len;
     t.data <- data
   end
+
+let ensure t cap =
+  if cap > t.limit then t.limit <- max cap (2 * t.limit);
+  back t cap
 
 (** Allocate [bytes] bytes, 64-byte aligned; returns the address. *)
 let alloc t bytes =
@@ -32,9 +47,15 @@ let alloc t bytes =
 let mark t = t.brk
 let release t m = t.brk <- m
 
-let check t addr len what =
-  if addr < 64 || addr + len > Bytes.length t.data then
-    raise (Fault (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr))
+(* Past the backing buffer: fault outside [64, limit), else back the
+   access (the fresh bytes read as zero). *)
+let[@inline never] check_slow t addr len what =
+  if addr < 64 || addr + len > t.limit then
+    raise (Fault (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr));
+  back t (addr + len)
+
+let[@inline] check t addr len what =
+  if addr < 64 || addr + len > Bytes.length t.data then check_slow t addr len what
 
 let load_scalar t (s : Pir.Types.scalar) addr : Value.t =
   let len = Pir.Types.scalar_bytes s in

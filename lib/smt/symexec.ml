@@ -921,7 +921,7 @@ and exec_spmd xc (f : Func.t) (args : sval list) : sval =
       fault = (fun s -> Sym_fault s);
       to_int = (fun v -> force_int (as_scalar v));
       unit = SUnit;
-      zero_i8 = (fun () -> S (int_const ctx Types.I8 0L));
+      zero = (fun i -> S (zero_of ctx (Types.elem i.Instr.ty)));
       lane_num =
         (fun i lane -> S (int_const ctx (Types.elem i.Instr.ty) (Int64.of_int lane)));
       sad_sum =

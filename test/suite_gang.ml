@@ -4,8 +4,8 @@
    [Psmt.Symexec] with all-concrete inputs; both must store the same
    buffer contents, or both must fault with the same message.  The
    cases reach the executor's edge paths: a shuffle reading an inactive
-   lane, sad_u8 over a group with inactive members, and the two
-   divergence faults. *)
+   lane (i64 and f32), sad_u8 over a group with inactive members, and
+   the two divergence faults. *)
 
 open Pir
 
@@ -83,13 +83,22 @@ let agree name f ~nt expect =
   expect i
 
 (* lane l reads lane l+3 of an 8-lane gang with 5 active threads: the
-   sources 5..7 are inactive and read zero, 8..10 wrap to 0..2 *)
-let test_shuffle_inactive_source () =
+   sources 5..7 are inactive and read the zero of the shuffle's type,
+   8..10 wrap to 0..2.  Each active lane stores what it read plus one,
+   in the shuffle's type, so a zero read stores 1. *)
+let test_shuffle_inactive_source ty () =
   let f =
     spmd_fn "shuf" ~gang:8 (fun b lane ->
         let v = Builder.add b (Builder.mul b lane (Instr.ci64 10)) (Instr.ci64 1) in
         let src = Builder.add b lane (Instr.ci64 3) in
-        let got = Builder.call b Types.i64 Intrinsics.shuffle [ v; src ] in
+        let got =
+          if Types.is_float ty then
+            let v = Builder.cast b Instr.SIToFP v ty in
+            let got = Builder.call b ty Intrinsics.shuffle [ v; src ] in
+            Builder.cast b Instr.FPToSI (Builder.fadd b got (Instr.cf32 1.0)) Types.i64
+          else
+            Builder.add b (Builder.call b ty Intrinsics.shuffle [ v; src ]) (Instr.ci64 1)
+        in
         store_lane b lane got;
         Builder.ret_void b)
   in
@@ -99,7 +108,7 @@ let test_shuffle_inactive_source () =
           if l >= 5 then 0L
           else
             let k = (l + 3) land 7 in
-            if k < 5 then Int64.of_int ((k * 10) + 1) else 0L
+            if k < 5 then Int64.of_int ((k * 10) + 2) else 1L
         in
         Array.iteri
           (fun l v -> Alcotest.(check int64) (Fmt.str "lane %d" l) (want l) v)
@@ -176,7 +185,9 @@ let suites =
     ( "machine.gang_agreement",
       [
         Alcotest.test_case "shuffle from an inactive lane" `Quick
-          test_shuffle_inactive_source;
+          (test_shuffle_inactive_source Types.i64);
+        Alcotest.test_case "f32 shuffle from an inactive lane" `Quick
+          (test_shuffle_inactive_source Types.f32);
         Alcotest.test_case "sad_u8 over a partial group" `Quick test_sad_partial_group;
         Alcotest.test_case "sync at different call sites" `Quick
           test_sync_different_sites;

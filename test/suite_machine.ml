@@ -39,6 +39,262 @@ let test_memory_frames () =
   let a2 = Pmachine.Memory.alloc m 16 in
   Alcotest.(check int) "frame reuse" a1 a2
 
+(* -- Lazily backed memory --
+
+   The address space is 1 MiB by default whatever part of it is backed;
+   these pin the logical size, the fault messages and the zero reads at
+   the top of the space, and compare a random call sequence against a
+   fully backed model of the same memory. *)
+
+let test_memory_top_of_space () =
+  let module M = Pmachine.Memory in
+  let m = M.create () in
+  let top = (1 lsl 20) - 4 in
+  Alcotest.(check int) "logical size" (1 lsl 20) (M.size m);
+  Alcotest.check i64t "unwritten reads zero" 0L (M.load_int m Types.I32 top);
+  M.store_int m Types.I32 top 0xDEADBEEFL;
+  Alcotest.check i64t "store round-trips" 0xDEADBEEFL (M.load_int m Types.I32 top);
+  Alcotest.check_raises "load past the end"
+    (M.Fault "load of 4 bytes at address 1048576 out of bounds") (fun () ->
+      ignore (M.load_int m Types.I32 (1 lsl 20)));
+  Alcotest.check_raises "store past the end"
+    (M.Fault "store of 4 bytes at address 1048576 out of bounds") (fun () ->
+      M.store_int m Types.I32 (1 lsl 20) 1L);
+  Alcotest.(check int) "size unchanged by accesses" (1 lsl 20) (M.size m)
+
+let test_memory_alloc_past_limit () =
+  let module M = Pmachine.Memory in
+  let m = M.create () in
+  (* cap = 64 + 1 MiB: twice the old size wins *)
+  let a = M.alloc m (1 lsl 20) in
+  Alcotest.(check int) "first block" 64 a;
+  Alcotest.(check int) "doubled" (1 lsl 21) (M.size m);
+  M.store_int m Types.I8 (a + (1 lsl 20) - 1) 7L;
+  Alcotest.check i64t "last byte" 7L (M.load_int m Types.I8 (a + (1 lsl 20) - 1));
+  (* cap past twice the size: the cap wins *)
+  let b = M.alloc m (5 lsl 20) in
+  let cap = b + (5 lsl 20) in
+  Alcotest.(check int) "grown to the cap" cap (M.size m);
+  Alcotest.check i64t "top byte reads zero" 0L (M.load_int m Types.I8 (cap - 1));
+  Alcotest.check_raises "past the grown end"
+    (M.Fault (Fmt.str "load of 1 bytes at address %d out of bounds" cap)) (fun () ->
+      ignore (M.load_int m Types.I8 cap))
+
+(* Reference model: the same memory with every byte of its address
+   space allocated up front. *)
+module Ref_mem = struct
+  type t = { mutable data : Bytes.t; mutable brk : int }
+
+  let create size = { data = Bytes.make size '\000'; brk = 64 }
+
+  let alloc r bytes =
+    let addr = (r.brk + 63) / 64 * 64 in
+    let cap = addr + bytes in
+    let len = Bytes.length r.data in
+    if cap > len then begin
+      let data = Bytes.make (max cap (2 * len)) '\000' in
+      Bytes.blit r.data 0 data 0 len;
+      r.data <- data
+    end;
+    r.brk <- cap;
+    addr
+
+  let check r addr len what =
+    if addr < 64 || addr + len > Bytes.length r.data then
+      raise
+        (Pmachine.Memory.Fault
+           (Fmt.str "%s of %d bytes at address %d out of bounds" what len addr))
+
+  (* every load result as an int64: integers zero-extended (i64 as is),
+     floats as their f64 bits *)
+  let load r (s : Types.scalar) addr =
+    check r addr (Types.scalar_bytes s) "load";
+    let d = r.data in
+    match s with
+    | I1 -> if Bytes.get_uint8 d addr <> 0 then 1L else 0L
+    | I8 -> Int64.of_int (Bytes.get_uint8 d addr)
+    | I16 -> Int64.of_int (Bytes.get_uint16_le d addr)
+    | I32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le d addr)) 0xFFFFFFFFL
+    | I64 -> Bytes.get_int64_le d addr
+    | F32 -> Int64.bits_of_float (Int32.float_of_bits (Bytes.get_int32_le d addr))
+    | F64 -> Bytes.get_int64_le d addr
+
+  (* integers store the low bits of [x], floats the value [f] *)
+  let store r (s : Types.scalar) addr x f =
+    check r addr (Types.scalar_bytes s) "store";
+    let d = r.data in
+    match s with
+    | I1 -> Bytes.set_uint8 d addr (if x = 0L then 0 else 1)
+    | I8 -> Bytes.set_uint8 d addr (Int64.to_int x land 0xFF)
+    | I16 -> Bytes.set_uint16_le d addr (Int64.to_int x land 0xFFFF)
+    | I32 -> Bytes.set_int32_le d addr (Int64.to_int32 x)
+    | I64 -> Bytes.set_int64_le d addr x
+    | F32 -> Bytes.set_int32_le d addr (Int32.bits_of_float f)
+    | F64 -> Bytes.set_int64_le d addr (Int64.bits_of_float f)
+end
+
+let diff_ops = 3000
+
+(* One seeded run of [diff_ops] random calls on [create ~size] and on
+   the reference; every result (value, bytes or fault message), the
+   logical size and the mark must agree after every call.  Without
+   [far] the accesses stay near the start and the allocation mark, so
+   allocations pass the logical size while the backing is small. *)
+let differential ~seed ~size ~far =
+  let module M = Pmachine.Memory in
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let m = M.create ~size () and r = Ref_mem.create size in
+  let marks = ref [ M.mark m ] in
+  let outcome f =
+    match f () with v -> "ok " ^ v | exception M.Fault msg -> "fault " ^ msg
+  in
+  let int_scalars = [| Types.I1; I8; I16; I32; I64 |]
+  and nat_scalars = [| Types.I1; I8; I16; I32 |]
+  and float_scalars = [| Types.F32; F64 |] in
+  let all_scalars = Array.append int_scalars float_scalars in
+  let pick a = a.(int (Array.length a)) in
+  let addr () =
+    let near base = base - 16 + int 32 in
+    match int (if far then 5 else 2) with
+    | 0 -> if int 4 = 0 then -int 16 else int 128
+    | 1 -> near m.M.brk
+    | 2 -> near (Bytes.length m.M.data)
+    | 3 -> near (M.size m)
+    | _ -> int (M.size m + 64)
+  in
+  let of_value s (v : Pmachine.Value.t) =
+    match v with
+    | Pmachine.Value.I x -> x
+    | Pmachine.Value.F f -> Int64.bits_of_float f
+    | _ -> Alcotest.failf "load of %a returned %a" Types.pp (Types.Scalar s) Pmachine.Value.pp v
+  in
+  for step = 1 to diff_ops do
+    let a = addr () in
+    let x = Random.State.int64 rng Int64.max_int
+    and f = Int64.float_of_bits (Random.State.int64 rng Int64.max_int) in
+    let name, got, want =
+      match int 14 with
+      | 0 ->
+          (* now and then, while the logical size is below 4 MiB, a
+             block that ends just past it or (with [far]) one of up to
+             that size, 1 MiB at most *)
+          let n =
+            if int 10 <> 0 || M.size m >= 4 lsl 20 then int 300
+            else if far && int 2 = 0 then int (min (M.size m) (1 lsl 20))
+            else M.size m - m.M.brk + int 2048
+          in
+          ( Fmt.str "alloc %d" n,
+            outcome (fun () -> string_of_int (M.alloc m n)),
+            outcome (fun () -> string_of_int (Ref_mem.alloc r n)) )
+      | 1 ->
+          marks := M.mark m :: !marks;
+          ("mark", string_of_int (M.mark m), string_of_int r.Ref_mem.brk)
+      | 2 ->
+          let k = pick (Array.of_list !marks) in
+          M.release m k;
+          r.Ref_mem.brk <- k;
+          (Fmt.str "release %d" k, "", "")
+      | 3 ->
+          let s = pick all_scalars in
+          ( Fmt.str "load_scalar %d" a,
+            outcome (fun () -> Int64.to_string (of_value s (M.load_scalar m s a))),
+            outcome (fun () -> Int64.to_string (Ref_mem.load r s a)) )
+      | 4 ->
+          let s = pick all_scalars in
+          let v =
+            match s with
+            | F32 | F64 -> Pmachine.Value.F f
+            | _ -> Pmachine.Value.I x
+          in
+          ( Fmt.str "store_scalar %d" a,
+            outcome (fun () -> M.store_scalar m s a v; ""),
+            outcome (fun () -> Ref_mem.store r s a x f; "") )
+      | 5 ->
+          let s = pick int_scalars in
+          ( Fmt.str "load_int %d" a,
+            outcome (fun () -> Int64.to_string (M.load_int m s a)),
+            outcome (fun () -> Int64.to_string (Ref_mem.load r s a)) )
+      | 6 ->
+          let s = pick int_scalars in
+          ( Fmt.str "store_int %d" a,
+            outcome (fun () -> M.store_int m s a x; ""),
+            outcome (fun () -> Ref_mem.store r s a x f; "") )
+      | 7 ->
+          let s = pick nat_scalars in
+          ( Fmt.str "load_nat %d" a,
+            outcome (fun () -> string_of_int (M.load_nat m s a)),
+            outcome (fun () -> Int64.to_string (Ref_mem.load r s a)) )
+      | 8 ->
+          let s = pick nat_scalars in
+          ( Fmt.str "store_nat %d" a,
+            outcome (fun () -> M.store_nat m s a (Int64.to_int x); ""),
+            outcome (fun () -> Ref_mem.store r s a x f; "") )
+      | 9 ->
+          let s = pick float_scalars in
+          let load =
+            match s with
+            | F32 -> M.load_f32 m
+            | _ -> fun a -> M.load_float m s a
+          in
+          ( Fmt.str "load float %d" a,
+            outcome (fun () -> Int64.to_string (Int64.bits_of_float (load a))),
+            outcome (fun () -> Int64.to_string (Ref_mem.load r s a)) )
+      | 10 ->
+          let s = pick float_scalars in
+          let store =
+            match s with
+            | F64 -> M.store_f64 m
+            | _ -> fun a f -> M.store_float m s a f
+          in
+          ( Fmt.str "store float %d" a,
+            outcome (fun () -> store a f; ""),
+            outcome (fun () -> Ref_mem.store r s a x f; "") )
+      | 11 ->
+          let b = Bytes.init (int 40) (fun _ -> Char.chr (int 256)) in
+          let n = Bytes.length b in
+          ( Fmt.str "write_bytes %d %d" a n,
+            outcome (fun () -> M.write_bytes m a b; ""),
+            outcome (fun () ->
+                Ref_mem.check r a n "write_bytes";
+                Bytes.blit b 0 r.Ref_mem.data a n;
+                "") )
+      | 12 ->
+          let n = int 40 in
+          ( Fmt.str "read_bytes %d %d" a n,
+            outcome (fun () -> Bytes.to_string (M.read_bytes m a n)),
+            outcome (fun () ->
+                Ref_mem.check r a n "read_bytes";
+                Bytes.sub_string r.Ref_mem.data a n) )
+      | _ ->
+          ( "snapshot",
+            Bytes.to_string (M.snapshot m),
+            Bytes.sub_string r.Ref_mem.data 0 r.Ref_mem.brk )
+    in
+    (* compared by hand: a passing check per call would log 160k lines *)
+    let mismatch what want got =
+      Alcotest.failf "seed %d size %d far %b step %d: %s: %s %S, reference %S" seed size
+        far step name what got want
+    in
+    if got <> want then mismatch "result" want got;
+    if M.size m <> Bytes.length r.Ref_mem.data then
+      mismatch "size" (string_of_int (Bytes.length r.Ref_mem.data)) (string_of_int (M.size m));
+    if M.mark m <> r.Ref_mem.brk then
+      mismatch "mark" (string_of_int r.Ref_mem.brk) (string_of_int (M.mark m));
+    if Bytes.length m.M.data > M.size m then
+      mismatch "backing" "at most the size" (string_of_int (Bytes.length m.M.data))
+  done
+
+let test_memory_differential () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun size ->
+          differential ~seed ~size ~far:true;
+          differential ~seed ~size ~far:false)
+        [ 1 lsl 20; 100_000; 256 ])
+    [ 1; 2; 3 ]
+
 (* -- Interpreter on straight-line and branchy code -- *)
 
 let run_fn f args =
@@ -365,6 +621,9 @@ let suites =
         Alcotest.test_case "read/write" `Quick test_memory_rw;
         Alcotest.test_case "faults" `Quick test_memory_fault;
         Alcotest.test_case "frames" `Quick test_memory_frames;
+        Alcotest.test_case "top of the address space" `Quick test_memory_top_of_space;
+        Alcotest.test_case "alloc past the limit" `Quick test_memory_alloc_past_limit;
+        Alcotest.test_case "differential vs fully backed" `Quick test_memory_differential;
       ] );
     ( "machine.interp",
       [
